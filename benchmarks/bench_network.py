@@ -199,34 +199,31 @@ def test_bench_n1_native_backend_speedup(benchmark):
     shared code, and at sweep scale it is amortised by batching while
     the cycle loop is not).  The backends must be bit-identical and the
     native one at least 5x faster."""
+    from dataclasses import replace
+
     import numpy as np
 
     from repro.network.backends import native as native_mod
-    from repro.network.kernel import KernelRun, _link_arrays, run_fused
+    from repro.network.batch import BatchItem, _kernel_runs, _prepare
+    from repro.network.kernel import run_fused
     from repro.network.routing import BfsRouter
-    from repro.network.simulator import _as_flow, _prepare
+    from repro.network.simulator import _check_run
 
     if native_mod.load_library()[0] is None:
         pytest.skip("no usable C toolchain for the native backend")
 
     topo = topology_of(("11", 10))  # Gamma_10: 144 nodes
-    traffic = uniform_traffic(topo, 15000, 150, seed=42)
-    prep = _prepare(topo, BfsRouter(), list(traffic), None, None)
-    link_seq, link_offsets, link_codes = _link_arrays(
-        topo.num_nodes, prep.table
-    )
-    nhops = prep.table.lengths()[prep.row] - 1
-    flow = _as_flow("sf")
+    traffic = list(uniform_traffic(topo, 15000, 150, seed=42))
+    flow, flit_arr = _check_run(traffic, "sf", 1, None)
+    preps = _prepare(topo, BfsRouter(), [BatchItem(traffic)])
+    prepared = _kernel_runs(topo.num_nodes, preps, [flow], [flit_arr])[0]
 
     def make_run():
         # a KernelRun is consumed by the engine; rebuild per timing
-        return KernelRun(
-            flow=flow, inject=prep.inject, nhops=nhops,
-            first_link_at=link_offsets[prep.row],
-            link_seq=link_seq, link_offsets=link_offsets,
-            link_codes=link_codes,
-            nf=np.ones(len(prep.inject), dtype=np.int64),
-            link_dead={},
+        return replace(
+            prepared,
+            first_link_at=prepared.first_link_at.copy(),
+            nf=prepared.nf.copy(),
         )
 
     def advance(backend):

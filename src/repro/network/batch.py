@@ -34,35 +34,38 @@ argument):
   changes nothing: an idle run's state is untouched by cycles it sits
   through, and its accounting only advances on its own activity.
 
-Preparation is shared where the semantics allow, which is where most of
-a sweep point's cost actually goes: replications without faults that use
-the same router *instance* share one route-table build over the union of
-their traffic pairs (routes are deterministic per pair, so the union
-table contains exactly the paths the per-run builds would), and all
-replications share one healthy-topology BFS-distance cache for misroute
-accounting.  Route tables do not depend on the switching mode, so sf and
-flow-control items mix freely within one shared build.
+This is the only vectorized engine: ``VectorizedSimulator.run`` is a
+one-item batch, and the reference engine borrows the same prepare for
+its ``route_table`` / fault-plan runs.  There is one prepare path
+(:func:`_prepare`) and one :class:`~repro.network.kernel.KernelRun`
+builder (:func:`_kernel_runs`).  Preparation is shared where the
+semantics allow, which is where most of a sweep point's cost actually
+goes: items group by router *instance* and routing epoch (an unfaulted
+item is one epoch on the healthy topology; a faulted item adds one
+fault-masked view per fault cycle), each group gets one route-table
+build over the union of its traffic pairs (routes are deterministic per
+pair, so the union table contains exactly the paths the per-run builds
+would) and one misroute pass, and all groups share one healthy-topology
+BFS-distance cache.  Route tables do not depend on the switching mode,
+so sf and flow-control items mix freely within one shared build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.network.faults import FaultPlan
-from repro.network.flowcontrol import FlowControl, _validate_vct, resolve_flits
+from repro.network.flowcontrol import FlowControl
 from repro.network.kernel import KernelRun, _link_arrays, run_fused
-from repro.network.routing import BfsRouter
+from repro.network.routing import BfsRouter, RouteTable
 from repro.network.simulator import (
     SimResult,
-    _as_flow,
-    _build_table,
+    _check_run,
     _flow_result,
     _misroute_hops,
-    _prepare,
-    _Prepared,
 )
 from repro.network.topology import Topology
 
@@ -78,9 +81,9 @@ class BatchItem:
     """One replication of a batch: traffic plus its run configuration.
 
     ``router=None`` uses the owning :class:`BatchedSimulator`'s default.
-    Replications without faults that share one router *instance* also
-    share a single route-table build, so a sweep packer should construct
-    one router object per router kind and reuse it across its items.
+    Replications that share one router *instance* also share their
+    route-table builds, so a sweep packer should construct one router
+    object per router kind and reuse it across its items.
     ``switching``, ``flits`` and ``tenants`` mirror
     ``VectorizedSimulator.run``'s parameters; any mix of modes is
     batched natively, and items carrying per-packet tenant ids get
@@ -96,14 +99,196 @@ class BatchItem:
     tenants: Optional[Sequence[int]] = None
 
 
+class _Prepared(NamedTuple):
+    """One item's traffic resolved against its route table, in array form.
+
+    Packets are stable-sorted by injection cycle and numbered 0..P-1 in
+    that order; packets the router cannot serve (or with a dead
+    endpoint) are dropped up front and only counted in ``num_dropped``.
+    Per surviving packet: ``inject`` cycle, route ``row``, ``nhops``,
+    ``misroutes`` and ``order``, its index into the traffic as passed
+    (flit counts and tenant ids follow the sort through it).
+    ``link_dead`` maps directed links to the first cycle they stop
+    forwarding (empty without faults).
+    """
+
+    table: RouteTable
+    inject: np.ndarray
+    row: np.ndarray
+    nhops: np.ndarray
+    misroutes: np.ndarray
+    num_dropped: int
+    link_dead: Dict[Tuple[int, int], int]
+    order: np.ndarray
+
+
+class _Epoch:
+    """One route-table build: a router on one routing epoch's view of
+    the topology, over the union of every pair routed there."""
+
+    def __init__(self, router, view: Topology, dead=frozenset()):
+        self.router = router
+        self.view = view
+        self.dead = dead
+        self.code_parts: List[np.ndarray] = []
+
+    def build(self, topo: Topology, dist_cache: Dict[int, np.ndarray]) -> None:
+        """Build the table and the per-row misroute counts; ``codes`` /
+        ``code_row`` then map each ``src * n + dst`` code to its row."""
+        n = topo.num_nodes
+        self.codes = np.unique(np.concatenate(self.code_parts))
+        pairs = [(int(c) // n, int(c) % n) for c in self.codes]
+        live = [p for p in pairs if p[0] not in self.dead and p[1] not in self.dead]
+        table = self.table = RouteTable.build(self.view, self.router, live)
+        # a pair with a dead endpoint is not in the table: row -1
+        self.code_row = np.asarray(
+            [table.pair_row.get(p, -1) for p in pairs], dtype=np.int64
+        )
+        lengths = table.lengths()
+        self.misroutes = np.zeros(table.num_routes, dtype=np.int64)
+        for (src, dst), r in table.pair_row.items():
+            if r >= 0:
+                self.misroutes[r] = _misroute_hops(
+                    topo, dist_cache, src, dst, int(lengths[r]) - 1
+                )
+
+
+def _merge(epochs: Sequence[_Epoch]) -> Tuple[RouteTable, np.ndarray, List[int]]:
+    """Stack epoch tables into one flat table: ``(table, misroutes,
+    first row of each epoch)``.  Rows stay unique per (epoch, pair), so
+    a pair can route differently before and after a failure."""
+    bases = [0]
+    offsets = [np.zeros(1, dtype=np.int64)]
+    size = 0
+    for ep in epochs:
+        offsets.append(ep.table.route_offsets[1:] + size)
+        size += ep.table.route_data.size
+        bases.append(bases[-1] + ep.table.num_routes)
+    table = RouteTable(
+        route_data=np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [ep.table.route_data for ep in epochs]
+        ),
+        route_offsets=np.concatenate(offsets),
+        pair_row={},
+    )
+    misroutes = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [ep.misroutes for ep in epochs]
+    )
+    return table, misroutes, bases
+
+
+def _prepare(topo: Topology, router, items: Sequence[BatchItem]) -> List[_Prepared]:
+    """Resolve every item's traffic to routes: the one preparation path
+    of every engine.
+
+    A fault plan's cycles split an item's packets into routing epochs:
+    packets injected in an epoch are routed on the topology masked by
+    every fault already active, and pairs with a dead endpoint drop at
+    injection.  An unfaulted item (and the first epoch of a faulted
+    one) routes on the healthy topology.  Items group by router
+    instance and epoch view; each group gets one table build over the
+    union of its pairs (routes are deterministic per pair) and one
+    misroute pass, and all groups share one healthy-distance cache.
+    Each item's table stacks the tables of the epochs it touches.
+    Items arrive validated (:func:`~repro.network.simulator._check_run`).
+    """
+    n = topo.num_nodes
+    epochs: Dict[tuple, _Epoch] = {}
+    staged = []
+    for item in items:
+        arr = np.asarray(item.traffic, dtype=np.int64).reshape(-1, 3)
+        perm = np.argsort(arr[:, 0], kind="stable")
+        arr = arr[perm]
+        codes = arr[:, 1] * n + arr[:, 2]
+        r = item.router if item.router is not None else router
+        plan = item.faults if item.faults is not None and item.faults.num_events else None
+        bounds: Sequence[int] = ()
+        if plan is not None:
+            plan.validate(topo)
+            bounds = plan.cycles()
+        epoch = np.searchsorted(np.asarray(bounds, dtype=np.int64), arr[:, 0], side="right")
+        parts = []
+        for e in np.unique(epoch).tolist():
+            at = bounds[e - 1] if e else -1
+            key = (id(r), plan if e else None, at)
+            if key not in epochs:
+                epochs[key] = (
+                    _Epoch(r, topo.with_faults(plan, at_cycle=at),
+                           plan.dead_nodes_at(at))
+                    if e else _Epoch(r, topo)
+                )
+            sel = np.flatnonzero(epoch == e)
+            epochs[key].code_parts.append(codes[sel])
+            parts.append((epochs[key], sel))
+        staged.append((arr, perm, codes, plan, parts))
+    dist_cache: Dict[int, np.ndarray] = {}
+    for ep in epochs.values():
+        ep.build(topo, dist_cache)
+    merged: Dict[tuple, tuple] = {}
+    out: List[_Prepared] = []
+    for arr, perm, codes, plan, parts in staged:
+        key = tuple(id(ep) for ep, _ in parts)
+        if key not in merged:
+            merged[key] = _merge([ep for ep, _ in parts])
+        table, misroutes, bases = merged[key]
+        rows = np.empty(arr.shape[0], dtype=np.int64)
+        for (ep, sel), base in zip(parts, bases):
+            r = ep.code_row[np.searchsorted(ep.codes, codes[sel])]
+            rows[sel] = np.where(r >= 0, r + base, -1)
+        routed = rows >= 0
+        row = rows[routed]
+        out.append(_Prepared(
+            table=table,
+            inject=arr[routed, 0],
+            row=row,
+            nhops=table.lengths()[row] - 1,
+            misroutes=misroutes[row],
+            num_dropped=int((~routed).sum()),
+            link_dead=plan.link_death_map(topo) if plan is not None else {},
+            order=perm[routed],
+        ))
+    return out
+
+
+def _kernel_runs(
+    num_nodes: int,
+    preps: Sequence[_Prepared],
+    flows: Sequence[FlowControl],
+    flit_arrs: Sequence[np.ndarray],
+) -> List[KernelRun]:
+    """One :class:`~repro.network.kernel.KernelRun` per prepared item;
+    items sharing a route table share its link arrays (and so the
+    kernel's derived channel arrays).  ``flit_arrs`` align with each
+    item's traffic as passed."""
+    links: Dict[int, tuple] = {}
+    runs: List[KernelRun] = []
+    for prep, flow, flit_arr in zip(preps, flows, flit_arrs):
+        if id(prep.table) not in links:
+            links[id(prep.table)] = _link_arrays(num_nodes, prep.table)
+        link_seq, link_offsets, link_codes = links[id(prep.table)]
+        runs.append(KernelRun(
+            flow=flow,
+            inject=prep.inject,
+            nhops=prep.nhops,
+            first_link_at=link_offsets[prep.row],
+            link_seq=link_seq,
+            link_offsets=link_offsets,
+            link_codes=link_codes,
+            nf=flit_arr[prep.order],
+            link_dead=prep.link_dead,
+        ))
+    return runs
+
+
 class BatchedSimulator:
     """Run K independent replications on one topology in lock step.
 
     Construction mirrors :class:`VectorizedSimulator`; ``router`` is the
     default for items that do not carry their own.  The only entry point
-    is :meth:`run_batch`; per-run semantics (and results) are exactly
-    those of ``VectorizedSimulator.run``, which the batch-equivalence
-    suite enforces bit for bit across every switching mode.
+    is :meth:`run_batch`, which is also the whole of
+    ``VectorizedSimulator.run`` (a one-item batch); the batch-equivalence
+    suite and the differential fuzz pin every result to
+    :class:`~repro.network.simulator.ReferenceSimulator` bit for bit.
     """
 
     def __init__(self, topo: Topology, router=None, backend=None):
@@ -122,177 +307,35 @@ class BatchedSimulator:
         the same ``max_cycles``.
 
         Validation (negative injection cycles, multi-flit traffic under
-        store-and-forward, bad flit specs, packets too big for a vct
-        buffer) raises eagerly for the whole batch -- every item is
-        checked, with the sequential engine's own errors, before any
-        item simulates.
+        store-and-forward, bad flit specs, misaligned tenant ids,
+        packets too big for a vct buffer) raises eagerly for the whole
+        batch -- every item is checked, with the sequential engine's own
+        errors, before any item simulates.
         """
         items = list(items)
-        flows: List[FlowControl] = []
-        flit_arrs: List[np.ndarray] = []
-        for item in items:
-            flow = _as_flow(item.switching)
-            traffic = list(item.traffic)
-            flit_arr = resolve_flits(item.flits, len(traffic))
-            if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-                raise ValueError(
-                    "store-and-forward is a single-flit model; use "
-                    "switching='wormhole' or 'vct' for multi-flit packets"
-                )
-            if traffic and min(t[0] for t in traffic) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {min(t[0] for t in traffic)}); "
-                    "both engines count time from 0"
-                )
-            if item.tenants is not None and len(item.tenants) != len(traffic):
-                raise ValueError(
-                    f"tenants must align with traffic: {len(item.tenants)} "
-                    f"ids for {len(traffic)} packets"
-                )
-            if flow.pipelined:
-                _validate_vct(flow, flit_arr)
-            flows.append(flow)
-            flit_arrs.append(flit_arr)
         if not items:
             return []
-        preps = self._prepare_items(items)
-        # per-item link arrays; items sharing a route table share the
-        # (link_seq, link_offsets, link_codes) computation, and the
-        # kernel assigns disjoint global id ranges per run
-        cache: Dict[int, tuple] = {}
-        n = self.topo.num_nodes
-        runs: List[KernelRun] = []
-        nhops_list: List[np.ndarray] = []
-        for prep, flow, flit_arr in zip(preps, flows, flit_arrs):
-            key = id(prep.table)
-            if key not in cache:
-                cache[key] = (
-                    _link_arrays(n, prep.table), prep.table.lengths()
-                )
-            (link_seq, link_offsets, link_codes), lengths = cache[key]
-            nhops = lengths[prep.row] - 1
-            nhops_list.append(nhops)
-            runs.append(KernelRun(
-                flow=flow,
-                inject=prep.inject,
-                nhops=nhops,
-                first_link_at=link_offsets[prep.row],
-                link_seq=link_seq,
-                link_offsets=link_offsets,
-                link_codes=link_codes,
-                nf=flit_arr[prep.order],
-                link_dead=prep.link_dead,
-            ))
+        checked = [
+            _check_run(list(item.traffic), item.switching, item.flits, item.tenants)
+            for item in items
+        ]
+        preps = _prepare(self.topo, self.router, items)
+        runs = _kernel_runs(
+            self.topo.num_nodes, preps,
+            [flow for flow, _ in checked], [flit_arr for _, flit_arr in checked],
+        )
         outcomes = run_fused(self.topo, runs, max_cycles, backend=self.backend)
         return [
             _flow_result(
-                out, prep.inject, nhops, prep.misroutes[prep.row],
-                prep.num_dropped,
+                out, prep.inject, prep.nhops, prep.misroutes, prep.num_dropped,
                 all_tenants=item.tenants,
                 pid_tenants=(
                     [int(item.tenants[j]) for j in prep.order]
                     if item.tenants is not None else None
                 ),
             )
-            for out, prep, nhops, item in zip(
-                outcomes, preps, nhops_list, items
-            )
+            for out, prep, item in zip(outcomes, preps, items)
         ]
-
-    # -- preparation ------------------------------------------------------
-
-    def _router_of(self, item: BatchItem):
-        return item.router if item.router is not None else self.router
-
-    def _prepare_items(self, items: Sequence[BatchItem]) -> List[_Prepared]:
-        """One :class:`_Prepared` per item, switching mode regardless.
-
-        Faulted items prepare individually (epoch-split tables cannot be
-        shared), but reuse one healthy-distance BFS cache; unfaulted
-        items group by router instance and share one union route table
-        and one misroute array per group.  Items arrive pre-validated
-        by :meth:`run_batch`.
-        """
-        dist_cache: Dict[int, np.ndarray] = {}
-        preps: Dict[int, _Prepared] = {}
-        groups: Dict[int, List[int]] = {}
-        for idx, item in enumerate(items):
-            if item.faults is not None and item.faults.num_events:
-                preps[idx] = _prepare(
-                    self.topo, self._router_of(item), list(item.traffic),
-                    None, item.faults, dist_cache=dist_cache,
-                )
-            else:
-                groups.setdefault(id(self._router_of(item)), []).append(idx)
-        for members in groups.values():
-            shared = self._prepare_shared(items, members, dist_cache)
-            preps.update(shared)
-        return [preps[idx] for idx in range(len(items))]
-
-    def _prepare_shared(
-        self,
-        items: Sequence[BatchItem],
-        members: Sequence[int],
-        dist_cache: Dict[int, np.ndarray],
-    ) -> Dict[int, _Prepared]:
-        """Prepare unfaulted items sharing one router instance: build the
-        route table once over the union of their traffic pairs, compute
-        the per-row misroute array once, then resolve each item against
-        the shared table exactly as ``_prepare`` would."""
-        n = self.topo.num_nodes
-        router = self._router_of(items[members[0]])
-        arrs: Dict[int, np.ndarray] = {}
-        perms: Dict[int, np.ndarray] = {}
-        code_parts: List[np.ndarray] = []
-        for idx in members:
-            arr = np.asarray(items[idx].traffic, dtype=np.int64).reshape(-1, 3)
-            if arr.size and int(arr[:, 0].min()) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {int(arr[:, 0].min())}); "
-                    "both engines count time from 0"
-                )
-            perm = np.argsort(arr[:, 0], kind="stable")
-            arrs[idx] = arr[perm]
-            perms[idx] = perm
-            code_parts.append(arr[:, 1] * n + arr[:, 2])
-        union = np.unique(np.concatenate(code_parts)) if code_parts else (
-            np.empty(0, dtype=np.int64)
-        )
-        pairs = [(int(c) // n, int(c) % n) for c in union]
-        table = _build_table(self.topo, router, pairs)
-        lengths = table.lengths()
-        mis = np.zeros(table.num_routes, dtype=np.int64)
-        for pair, r in table.pair_row.items():
-            if r >= 0:
-                mis[r] = _misroute_hops(
-                    self.topo, dist_cache, pair[0], pair[1], int(lengths[r]) - 1
-                )
-        out: Dict[int, _Prepared] = {}
-        for idx in members:
-            arr = arrs[idx]
-            codes, inverse = np.unique(
-                arr[:, 1] * n + arr[:, 2], return_inverse=True
-            )
-            rowmap = np.asarray(
-                [table.pair_row[(int(c) // n, int(c) % n)] for c in codes],
-                dtype=np.int64,
-            )
-            rows = (
-                rowmap[inverse] if codes.size else np.empty(0, dtype=np.int64)
-            )
-            routed = rows >= 0
-            out[idx] = _Prepared(
-                table=table,
-                inject=arr[routed, 0],
-                row=rows[routed],
-                num_dropped=int((~routed).sum()),
-                misroutes=mis,
-                link_dead={},
-                order=perms[idx][routed],
-            )
-        return out
 
 
 def run_batch(

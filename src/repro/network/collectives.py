@@ -72,7 +72,7 @@ from repro.network.broadcast import binomial_broadcast_schedule, verify_schedule
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.hamilton import find_hamiltonian_path
-from repro.network.routing import BfsRouter
+from repro.network.routing import BfsRouter, RouteTable
 from repro.network.simulator import (
     ReferenceSimulator,
     SimResult,
@@ -328,20 +328,13 @@ def schedule_link_loads(
     for rnd in schedule:
         for pair in rnd:
             counts[pair] = counts.get(pair, 0) + 1
-    route_of: Dict[Tuple[int, int], Optional[List[int]]] = {}
-    if hasattr(router, "build_table"):
-        # batched resolution: one BFS per destination, not one per pair
-        table = router.build_table(topo, list(counts))
-        for pair, row in table.pair_row.items():
-            route_of[pair] = None if row < 0 else table.route_nodes(row).tolist()
-    else:
-        for pair in counts:
-            route_of[pair] = router.route(topo, *pair)
+    table = RouteTable.build(topo, router, list(counts))
     loads: Dict[Tuple[int, int], int] = {}
     for pair, mult in counts.items():
-        path = route_of[pair]
-        if path is None:
+        row = table.pair_row[pair]
+        if row < 0:
             continue
+        path = table.route_nodes(row).tolist()
         for a, b in zip(path, path[1:]):
             loads[(a, b)] = loads.get((a, b), 0) + mult
     return loads

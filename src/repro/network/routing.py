@@ -319,7 +319,14 @@ class RouteTable:
         router,
         pairs: Iterable[Tuple[int, int]],
     ) -> "RouteTable":
-        """Resolve every unique pair through ``router`` into one table."""
+        """Resolve every unique pair through ``router`` into one table.
+
+        The single route-table entry point: a router with its own batched
+        ``build_table`` (e.g. :meth:`BfsRouter.build_table`) builds the
+        table itself; any other router is asked one pair at a time.
+        """
+        if hasattr(router, "build_table"):
+            return router.build_table(topo, pairs)
         data: List[int] = []
         offsets: List[int] = [0]
         pair_row: Dict[Tuple[int, int], int] = {}

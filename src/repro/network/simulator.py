@@ -34,19 +34,25 @@ Two engines implement the *same* deterministic semantics:
 
 - :class:`ReferenceSimulator` -- the readable per-packet/deque loop, the
   executable specification;
-- :class:`VectorizedSimulator` -- the production engine: routes are
-  batched into a flat CSR :class:`~repro.network.routing.RouteTable`,
-  per-packet state lives in NumPy arrays, and the cycle loop itself is
-  the fused advance kernel of :mod:`repro.network.kernel` -- the same
-  lock-step engine that batches K replications at once -- invoked here
-  with K = 1.  Per-link FIFOs are intrusive linked lists over flat
-  arrays, each cycle advances every contended link with a handful of
-  array gathers instead of a Python loop over packets, and idle gaps
-  between injections are skipped outright.  The kernel's inner loop is
-  supplied by a selectable backend (:mod:`repro.network.backends`:
-  ``numpy``, the compiled ``native`` kernel, or ``auto``).  Both
-  engines -- and every backend -- produce bit-identical
-  :class:`SimResult` values, which the equivalence tests enforce.
+- :class:`VectorizedSimulator` -- the production engine, which is a
+  one-item batch of :class:`~repro.network.batch.BatchedSimulator`:
+  there is one prepare path and one run path.  Routes are batched into
+  a flat CSR :class:`~repro.network.routing.RouteTable` (one table
+  build per router and routing epoch), per-packet state lives in NumPy
+  arrays, and the cycle loop itself is the fused advance kernel of
+  :mod:`repro.network.kernel`.  Per-link FIFOs are intrusive linked
+  lists over flat arrays, each cycle advances every contended link with
+  a handful of array gathers instead of a Python loop over packets, and
+  idle gaps between injections are skipped outright.  The kernel's
+  inner loop is supplied by a selectable backend
+  (:mod:`repro.network.backends`: ``numpy``, the compiled ``native``
+  kernel, or ``auto``).  Both engines -- and every backend -- produce
+  bit-identical :class:`SimResult` values, which the equivalence tests
+  enforce.
+
+The reference engine resolves routes through ``router.route`` one
+packet at a time; only with a ``route_table`` or a fault plan does it
+borrow the batch engine's prepare, so its cycle loops stay the oracle.
 
 Faults
 ------
@@ -93,7 +99,8 @@ from repro.network.flowcontrol import (
     reference_flow_run,
     resolve_flits,
 )
-from repro.network.kernel import KernelRun, _link_arrays, run_fused
+# imported for perfbench/layers.py, which traces the kernel under this name
+from repro.network.kernel import run_fused  # noqa: F401
 from repro.network.routing import BfsRouter, RouteTable
 from repro.network.topology import Topology
 from repro.network.traffic import uniform_traffic
@@ -193,39 +200,75 @@ def _misroute_hops(
     return max(0, (hops - d) // 2)
 
 
-class _Prepared:
-    """Traffic resolved against a route table, in array form.
-
-    Packets are stable-sorted by injection cycle and numbered 0..P-1 in
-    that order; pairs the router cannot serve are dropped up front and
-    only counted in ``injected``.  ``misroutes`` holds one detour count
-    per table row; ``link_dead`` maps directed links to the first cycle
-    they stop forwarding (empty without faults); ``order`` gives each
-    surviving packet's index into the traffic sequence as passed, so
-    per-packet attributes (flit counts) follow the stable sort.
-    """
-
-    __slots__ = ("table", "inject", "row", "num_dropped", "misroutes",
-                 "link_dead", "order")
-
-    def __init__(self, table: RouteTable, inject: np.ndarray, row: np.ndarray,
-                 num_dropped: int, misroutes: np.ndarray,
-                 link_dead: Dict[Tuple[int, int], int], order: np.ndarray):
-        self.table = table
-        self.inject = inject
-        self.row = row
-        self.num_dropped = num_dropped
-        self.misroutes = misroutes
-        self.link_dead = link_dead
-        self.order = order
-
-
 def _as_flow(switching: Union[str, FlowControl, None]) -> FlowControl:
     if switching is None:
         return FlowControl()
     if isinstance(switching, FlowControl):
         return switching
     return FlowControl(switching=switching)
+
+
+def _check_run(
+    traffic: List[Tuple[int, int, int]],
+    switching: Union[str, FlowControl],
+    flits: Union[int, Sequence[int]],
+    tenants: Optional[Sequence[int]],
+) -> Tuple[FlowControl, np.ndarray]:
+    """Validate one run's inputs; returns its flow control and per-packet
+    flit counts (aligned with ``traffic``).
+
+    The single validation path of every engine entry point, so their
+    errors cannot drift.  Packets too big for a vct buffer are checked
+    by the cycle loops themselves, once each, over the routed packets.
+    """
+    flow = _as_flow(switching)
+    flit_arr = resolve_flits(flits, len(traffic))
+    if tenants is not None and len(tenants) != len(traffic):
+        raise ValueError(
+            f"tenants must align with traffic: {len(tenants)} ids "
+            f"for {len(traffic)} packets"
+        )
+    if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
+        raise ValueError(
+            "store-and-forward is a single-flit model; use "
+            "switching='wormhole' or 'vct' for multi-flit packets"
+        )
+    if traffic and min(t[0] for t in traffic) < 0:
+        raise ValueError(
+            "injection cycles must be non-negative "
+            f"(got {min(t[0] for t in traffic)}); "
+            "both engines count time from 0"
+        )
+    return flow, flit_arr
+
+
+class _SuppliedTable:
+    """A caller's prebuilt :class:`RouteTable`, posing as a router whose
+    every build returns that table -- after checking it covers the
+    traffic."""
+
+    def __init__(self, table: RouteTable):
+        self.table = table
+
+    def build_table(self, topo: Topology, pairs) -> RouteTable:
+        for pair in pairs:
+            if pair not in self.table.pair_row:
+                raise ValueError(
+                    f"route_table has no entry for traffic pair {pair}; "
+                    "build the table over every (src, dst) pair in the traffic"
+                )
+        return self.table
+
+
+def _table_router(router, route_table: Optional[RouteTable],
+                  faults: Optional[FaultPlan]):
+    """The router a run prepares with: ``router`` itself, or the
+    caller's ``route_table`` when one is given."""
+    if route_table is None:
+        return router
+    if faults is not None and faults.num_events:
+        raise ValueError("pass either route_table or faults, not both")
+    return _SuppliedTable(route_table)
 
 
 def _flow_result(
@@ -263,134 +306,6 @@ def _flow_result(
         stalled=outcome.stalled,
         deadlocked=outcome.deadlocked,
         tenant_stats=tstats,
-    )
-
-
-def _build_table(topo: Topology, router, pairs) -> RouteTable:
-    if hasattr(router, "build_table"):
-        return router.build_table(topo, pairs)
-    return RouteTable.build(topo, router, pairs)
-
-
-def _prepare(
-    topo: Topology,
-    router,
-    traffic: Sequence[Tuple[int, int, int]],
-    route_table: Optional[RouteTable],
-    faults: Optional[FaultPlan] = None,
-    dist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> _Prepared:
-    arr = np.asarray(traffic, dtype=np.int64).reshape(-1, 3)
-    if arr.size and int(arr[:, 0].min()) < 0:
-        raise ValueError(
-            "injection cycles must be non-negative "
-            f"(got {int(arr[:, 0].min())}); both engines count time from 0"
-        )
-    perm = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[perm]
-    if dist_cache is None:
-        # healthy-topology BFS distances; callers running many runs over
-        # one topology (the batch engine) pass a shared cache instead
-        dist_cache = {}
-    if faults is not None and faults.num_events:
-        if route_table is not None:
-            raise ValueError("pass either route_table or faults, not both")
-        return _prepare_faulted(topo, router, arr, faults, perm, dist_cache)
-    n = topo.num_nodes
-    codes, inverse = np.unique(arr[:, 1] * n + arr[:, 2], return_inverse=True)
-    pairs = [(int(c) // n, int(c) % n) for c in codes]
-    table = route_table
-    if table is None:
-        table = _build_table(topo, router, pairs)
-    try:
-        rowmap = np.asarray([table.pair_row[p] for p in pairs], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(
-            f"route_table has no entry for traffic pair {exc.args[0]}; "
-            "build the table over every (src, dst) pair in the traffic"
-        ) from None
-    rows = rowmap[inverse] if len(pairs) else np.empty(0, dtype=np.int64)
-    routed = rows >= 0
-    lengths = table.lengths()
-    mis = np.zeros(table.num_routes, dtype=np.int64)
-    for pair, r in table.pair_row.items():
-        if r >= 0:
-            mis[r] = _misroute_hops(
-                topo, dist_cache, pair[0], pair[1], int(lengths[r]) - 1
-            )
-    return _Prepared(
-        table=table,
-        inject=arr[routed, 0],
-        row=rows[routed],
-        num_dropped=int((~routed).sum()),
-        misroutes=mis,
-        link_dead={},
-        order=perm[routed],
-    )
-
-
-def _prepare_faulted(
-    topo: Topology, router, arr: np.ndarray, faults: FaultPlan,
-    perm: np.ndarray, dist_cache: Dict[int, np.ndarray],
-) -> _Prepared:
-    """Epoch-split preparation: every fault cycle starts a routing epoch.
-
-    Packets injected in an epoch are routed on the topology masked by
-    every fault already active (pairs with a dead endpoint drop at
-    injection), then the per-epoch tables merge into one flat table --
-    rows are unique per (epoch, pair), so the same pair can legitimately
-    route differently before and after a failure.  ``dist_cache`` holds
-    *healthy*-topology distances (epoch-independent), so it is safe to
-    share across runs and fault plans on one topology.
-    """
-    faults.validate(topo)
-    n = topo.num_nodes
-    boundaries = np.asarray(faults.cycles(), dtype=np.int64)
-    epoch = np.searchsorted(boundaries, arr[:, 0], side="right")
-    rows = np.full(arr.shape[0], -1, dtype=np.int64)
-    chunks: List[np.ndarray] = []
-    offsets = [0]
-    mis: List[int] = []
-    for e in np.unique(epoch):
-        at = int(boundaries[e - 1]) if e > 0 else -1
-        view = topo.with_faults(faults, at_cycle=at) if e > 0 else topo
-        dead = faults.dead_nodes_at(at) if e > 0 else frozenset()
-        sel = np.flatnonzero(epoch == e)
-        codes, inverse = np.unique(arr[sel, 1] * n + arr[sel, 2], return_inverse=True)
-        pairs = [(int(c) // n, int(c) % n) for c in codes]
-        live = [p for p in pairs if p[0] not in dead and p[1] not in dead]
-        sub = _build_table(view, router, live)
-        rowmap = np.empty(len(pairs), dtype=np.int64)
-        for i, pair in enumerate(pairs):
-            r = -1 if (pair[0] in dead or pair[1] in dead) else sub.pair_row[pair]
-            if r < 0:
-                rowmap[i] = -1
-                continue
-            nodes_seq = sub.route_nodes(r)
-            rowmap[i] = len(offsets) - 1
-            chunks.append(np.asarray(nodes_seq, dtype=np.int64))
-            offsets.append(offsets[-1] + nodes_seq.size)
-            mis.append(
-                _misroute_hops(
-                    topo, dist_cache, pair[0], pair[1], int(nodes_seq.size) - 1
-                )
-            )
-        rows[sel] = rowmap[inverse]
-    table = RouteTable(
-        route_data=(np.concatenate(chunks) if chunks
-                    else np.empty(0, dtype=np.int64)),
-        route_offsets=np.asarray(offsets, dtype=np.int64),
-        pair_row={},
-    )
-    routed = rows >= 0
-    return _Prepared(
-        table=table,
-        inject=arr[routed, 0],
-        row=rows[routed],
-        num_dropped=int((~routed).sum()),
-        misroutes=np.asarray(mis, dtype=np.int64),
-        link_dead=faults.link_death_map(topo),
-        order=perm[routed],
     )
 
 
@@ -440,27 +355,10 @@ class ReferenceSimulator:
         (see :mod:`repro.network.workloads`); when given, the result
         carries :attr:`SimResult.tenant_stats`.
         """
-        flow = _as_flow(switching)
         traffic = list(traffic)
-        flit_arr = resolve_flits(flits, len(traffic))
-        if tenants is not None and len(tenants) != len(traffic):
-            raise ValueError(
-                f"tenants must align with traffic: {len(tenants)} ids "
-                f"for {len(traffic)} packets"
-            )
-        if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-            raise ValueError(
-                "store-and-forward is a single-flit model; use "
-                "switching='wormhole' or 'vct' for multi-flit packets"
-            )
+        flow, flit_arr = _check_run(traffic, switching, flits, tenants)
         faulted = faults is not None and faults.num_events > 0
         if route_table is None and not faulted:
-            if traffic and min(t[0] for t in traffic) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {min(t[0] for t in traffic)}); "
-                    "both engines count time from 0"
-                )
             inject: List[int] = []
             routes: List[List[int]] = []
             mis_of: List[int] = []
@@ -485,11 +383,16 @@ class ReferenceSimulator:
                     )
             link_dead: Dict[Tuple[int, int], int] = {}
         else:
-            prep = _prepare(self.topo, self.router, traffic, route_table, faults)
+            # the batch engine's prepare; only the cycle loop below is
+            # this engine's own
+            from repro.network.batch import BatchItem, _prepare
+
+            router = _table_router(self.router, route_table, faults)
+            prep = _prepare(self.topo, router, [BatchItem(traffic, faults=faults)])[0]
             routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
             inject = prep.inject.tolist()
             dropped = prep.num_dropped
-            mis_of = [int(prep.misroutes[r]) for r in prep.row]
+            mis_of = prep.misroutes.tolist()
             nf = flit_arr[prep.order].tolist()
             pid_tenants = (
                 [int(tenants[j]) for j in prep.order]
@@ -587,14 +490,15 @@ class ReferenceSimulator:
 class VectorizedSimulator:
     """Array-based engine (same semantics, NumPy speed), for every mode.
 
-    All routes are flattened into a CSR route table and converted to
-    directed-link-id sequences once; the prepared run is then handed to
-    the fused advance kernel (:func:`repro.network.kernel.run_fused`) as
-    a one-run batch.  The kernel keeps per-link FIFOs as intrusive
-    linked lists over flat pid arrays (store-and-forward) or per
-    (link, VC) finite-buffer state (wormhole / vct), advances every
-    contended link per cycle with a handful of array gathers, skips idle
-    gaps between injections in O(1), and reproduces
+    Each run is a one-item :class:`~repro.network.batch.BatchedSimulator`
+    batch: routes are flattened into a CSR route table and converted to
+    directed-link-id sequences once, then the fused advance kernel
+    (:func:`repro.network.kernel.run_fused`) runs them.  The kernel
+    keeps per-link FIFOs as intrusive linked lists over flat pid arrays
+    (store-and-forward) or per (link, VC) finite-buffer state
+    (wormhole / vct), advances every contended link per cycle with a
+    handful of array gathers, skips idle gaps between injections in
+    O(1), and reproduces
     :class:`ReferenceSimulator`'s queue discipline -- injections first,
     then forwards, pid-sorted within each group -- exactly.
 
@@ -607,15 +511,6 @@ class VectorizedSimulator:
         self.topo = topo
         self.router = router if router is not None else BfsRouter()
         self.backend = backend
-
-    # -- route-table flattening -------------------------------------------
-
-    def _link_arrays(
-        self, table: RouteTable
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """See the module-level :func:`_link_arrays` (kept as a method
-        for backward compatibility)."""
-        return _link_arrays(self.topo.num_nodes, table)
 
     def run(
         self,
@@ -631,55 +526,18 @@ class VectorizedSimulator:
 
         Semantics (and results) are identical to
         :meth:`ReferenceSimulator.run`, fault plans, switching modes and
-        per-packet ``tenants`` included.
+        per-packet ``tenants`` included.  The run is a one-item batch of
+        :class:`~repro.network.batch.BatchedSimulator`.
         """
-        flow = _as_flow(switching)
-        traffic = list(traffic)
-        flit_arr = resolve_flits(flits, len(traffic))
-        if tenants is not None and len(tenants) != len(traffic):
-            raise ValueError(
-                f"tenants must align with traffic: {len(tenants)} ids "
-                f"for {len(traffic)} packets"
-            )
-        if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-            raise ValueError(
-                "store-and-forward is a single-flit model; use "
-                "switching='wormhole' or 'vct' for multi-flit packets"
-            )
-        prep = _prepare(self.topo, self.router, traffic, route_table, faults)
-        num = len(prep.row)
-        if num == 0:
-            tstats: Tuple[TenantStats, ...] = ()
-            if tenants is not None:
-                tstats = tenant_stats_of(tenants, (), (), ())
-            return SimResult(
-                cycles=1, injected=prep.num_dropped, delivered=0,
-                latencies=(), max_queue=0, dropped=prep.num_dropped,
-                tenant_stats=tstats,
-            )
-        link_seq, link_offsets, link_codes = self._link_arrays(prep.table)
-        nhops = prep.table.lengths()[prep.row] - 1
-        run = KernelRun(
-            flow=flow,
-            inject=prep.inject,
-            nhops=nhops,
-            first_link_at=link_offsets[prep.row],
-            link_seq=link_seq,
-            link_offsets=link_offsets,
-            link_codes=link_codes,
-            nf=flit_arr[prep.order],
-            link_dead=prep.link_dead,
+        from repro.network.batch import BatchedSimulator, BatchItem
+
+        item = BatchItem(
+            list(traffic),
+            router=_table_router(self.router, route_table, faults),
+            faults=faults, switching=switching, flits=flits, tenants=tenants,
         )
-        outcome = run_fused(self.topo, [run], max_cycles, backend=self.backend)[0]
-        return _flow_result(
-            outcome, prep.inject, nhops, prep.misroutes[prep.row],
-            prep.num_dropped,
-            all_tenants=tenants,
-            pid_tenants=(
-                [int(tenants[j]) for j in prep.order]
-                if tenants is not None else None
-            ),
-        )
+        engine = BatchedSimulator(self.topo, self.router, backend=self.backend)
+        return engine.run_batch([item], max_cycles)[0]
 
 
 class NetworkSimulator(VectorizedSimulator):

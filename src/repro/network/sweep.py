@@ -18,11 +18,13 @@ topology.  This module runs those grids at scale:
   column records each record's co-batch size); collective points are
   closed-loop and run point-by-point;
 - each point generates seeded traffic from :mod:`repro.network.traffic`,
-  runs the vectorized simulator -- under the point's
+  runs it through the batch engine -- under the point's
   :class:`~repro.network.faults.FaultPlan` when one is given -- and
   condenses the run into a flat :class:`SweepRecord` of floats, ready
   for CSV/JSON dumping or for :func:`saturation_curves` to regroup into
-  per-scenario load curves;
+  per-scenario load curves.  An unbatched open-loop point is a batch of
+  one: :func:`run_point` and :func:`run_batch_points` share one packing
+  path, so their records cannot diverge;
 - :func:`saturation_curves` aggregates the seed axis: every
   (topology, router, pattern, faults, flow, load) cell becomes one
   :class:`CurvePoint` with mean/std over its seeds, so multi-seed grids
@@ -407,6 +409,55 @@ def _condense(
     )
 
 
+def _run_open_loop(
+    specs: Sequence[PointSpec],
+    topo: Topology,
+    backend=None,
+    traces: Optional[Mapping[str, Trace]] = None,
+) -> List[SweepRecord]:
+    """Simulate open-loop points on one topology in one lock-step
+    :class:`~repro.network.batch.BatchedSimulator` run and condense each
+    (the single packing path of :func:`run_point` and
+    :func:`run_batch_points`, so a batched record can never diverge from
+    the solo one).  One router instance per router name, so the points
+    also share route tables; every spec carries the same
+    ``max_cycles``."""
+    routers: Dict[str, object] = {}
+    items: List[BatchItem] = []
+    plans: List[Optional[FaultPlan]] = []
+    names_of: List[Sequence[str]] = []
+    for spec in specs:
+        router = routers.setdefault(spec.router, _resolve_router(spec.router)())
+        plan = _point_plan(spec, topo)
+        flow = _point_flow(spec)
+        tenants = None
+        tenant_names: Sequence[str] = ()
+        if spec.workload:
+            compiled = _point_workload(spec, topo, plan, traces)
+            traffic: List[Tuple[int, int, int]] = list(compiled.traffic)
+            tenants = compiled.tenants
+            tenant_names = compiled.names
+        else:
+            traffic = _point_traffic(spec, topo, plan)
+        sizes: "int | list" = (
+            flit_sizes(len(traffic), spec.flits, seed=spec.seed)
+            if spec.switching != "sf" else 1
+        )
+        items.append(BatchItem(
+            traffic=traffic, router=router, faults=plan,
+            switching=flow, flits=sizes, tenants=tenants,
+        ))
+        plans.append(plan)
+        names_of.append(tenant_names)
+    outcomes = BatchedSimulator(topo, backend=backend).run_batch(
+        items, max_cycles=specs[0].max_cycles
+    )
+    return [
+        _condense(spec, topo, plan, result, batch=len(specs), tenant_names=names)
+        for spec, plan, result, names in zip(specs, plans, outcomes, names_of)
+    ]
+
+
 def run_point(
     spec: PointSpec,
     backend=None,
@@ -426,51 +477,28 @@ def run_point(
     and its cache key describe the simulation, not the machinery.
     """
     topo = parse_topology(spec.topology)
+    if not spec.collective:
+        return _run_open_loop([spec], topo, backend, traces)[0]
     router = _resolve_router(spec.router)()
     plan = _point_plan(spec, topo)
-    pipelined = spec.switching != "sf"
     flow = _point_flow(spec)
-    engine = (
-        VectorizedSimulator if backend is None
-        else partial(VectorizedSimulator, backend=backend)
-    )
-    rounds = round_bound = 0
-    tenant_names: Sequence[str] = ()
-    if spec.collective:
-        if spec.collective not in COLLECTIVES:
-            raise ValueError(
-                f"unknown collective {spec.collective!r}; "
-                f"choose from {sorted(COLLECTIVES)}"
-            )
-        coll = run_collective(
-            topo, spec.collective, root=spec.seed % topo.num_nodes,
-            router=router, engine=engine, switching=flow,
-            flits=spec.flits if pipelined else 1, flit_seed=spec.seed,
-            faults=plan, max_cycles=spec.max_cycles,
+    if spec.collective not in COLLECTIVES:
+        raise ValueError(
+            f"unknown collective {spec.collective!r}; "
+            f"choose from {sorted(COLLECTIVES)}"
         )
-        result = coll.result
-        rounds, round_bound = coll.rounds, coll.round_bound
-    else:
-        tenants = None
-        if spec.workload:
-            compiled = _point_workload(spec, topo, plan, traces)
-            traffic: List[Tuple[int, int, int]] = list(compiled.traffic)
-            tenants = compiled.tenants
-            tenant_names = compiled.names
-        else:
-            traffic = _point_traffic(spec, topo, plan)
-        if pipelined:
-            sizes: "int | list" = flit_sizes(len(traffic), spec.flits, seed=spec.seed)
-        else:
-            sizes = 1
-        result = engine(topo, router).run(
-            traffic, max_cycles=spec.max_cycles, faults=plan,
-            switching=flow, flits=sizes, tenants=tenants,
-        )
-    return _condense(
-        spec, topo, plan, result, rounds, round_bound,
-        tenant_names=tenant_names,
+    coll = run_collective(
+        topo, spec.collective, root=spec.seed % topo.num_nodes,
+        router=router,
+        engine=(
+            VectorizedSimulator if backend is None
+            else partial(VectorizedSimulator, backend=backend)
+        ),
+        switching=flow,
+        flits=spec.flits if spec.switching != "sf" else 1, flit_seed=spec.seed,
+        faults=plan, max_cycles=spec.max_cycles,
     )
+    return _condense(spec, topo, plan, coll.result, coll.rounds, coll.round_bound)
 
 
 def normalize_spec(spec: PointSpec) -> PointSpec:
@@ -550,51 +578,12 @@ def run_batch_points(
             groups.setdefault((spec.topology, spec.max_cycles), []).append(i)
         else:
             records[i] = run_point(spec, backend=backend, traces=traces)
-    for (tspec, max_cycles), members in groups.items():
-        topo = parse_topology(tspec)
-        routers: Dict[str, object] = {}
-        items: List[BatchItem] = []
-        plans: List[Optional[FaultPlan]] = []
-        names_of: List[Sequence[str]] = []
-        for i in members:
-            spec = specs[i]
-            router = routers.setdefault(
-                spec.router, _resolve_router(spec.router)()
-            )
-            plan = _point_plan(spec, topo)
-            tenants = None
-            tenant_names: Sequence[str] = ()
-            if spec.workload:
-                compiled = _point_workload(spec, topo, plan, traces)
-                traffic: List[Tuple[int, int, int]] = list(compiled.traffic)
-                tenants = compiled.tenants
-                tenant_names = compiled.names
-            else:
-                traffic = _point_traffic(spec, topo, plan)
-            # the exact switching/flits resolution of run_point, so a
-            # batched record can never diverge from the solo one
-            if spec.switching != "sf":
-                sizes: "int | list" = flit_sizes(
-                    len(traffic), spec.flits, seed=spec.seed
-                )
-            else:
-                sizes = 1
-            items.append(BatchItem(
-                traffic=traffic, router=router, faults=plan,
-                switching=_point_flow(spec), flits=sizes, tenants=tenants,
-            ))
-            plans.append(plan)
-            names_of.append(tenant_names)
-        outcomes = BatchedSimulator(topo, backend=backend).run_batch(
-            items, max_cycles=max_cycles
+    for (tspec, _), members in groups.items():
+        recs = _run_open_loop(
+            [specs[i] for i in members], parse_topology(tspec), backend, traces
         )
-        for i, plan, result, tenant_names in zip(
-            members, plans, outcomes, names_of
-        ):
-            records[i] = _condense(
-                specs[i], topo, plan, result, batch=len(members),
-                tenant_names=tenant_names,
-            )
+        for i, rec in zip(members, recs):
+            records[i] = rec
     return records  # type: ignore[return-value]
 
 

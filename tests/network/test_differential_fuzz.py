@@ -15,7 +15,7 @@ too, and a batch pass stacks a
 random K of mixed replications (seeds, loads, patterns, routers, fault
 plans, switching modes -- sf, wormhole and vct all batch natively
 through the fused kernel) into one ``BatchedSimulator`` run and checks
-it against K sequential vectorized runs.
+it against K sequential vectorized runs and K reference runs.
 
 Scaling and reproduction
 ------------------------
@@ -309,7 +309,9 @@ def sample_batch_case(seed: int) -> dict:
 
 
 def run_batch_fuzz_case(seed: int) -> "str | None":
-    """One K-replication batch vs K sequential vectorized runs."""
+    """One K-replication batch vs K sequential vectorized runs and vs K
+    reference runs (the sequential runs are one-item batches, so the
+    reference is what pins the batch engine to the spec)."""
     cfg = sample_batch_case(seed)
     topo = parse_topology(cfg["topology"])
     routers: dict = {}
@@ -350,13 +352,21 @@ def run_batch_fuzz_case(seed: int) -> "str | None":
         )
         for it in items
     ]
-    if batched != sequential:
+    reference = [
+        ReferenceSimulator(topo, it.router).run(
+            it.traffic, max_cycles=cfg["max_cycles"], faults=it.faults,
+            switching=it.switching, flits=it.flits,
+        )
+        for it in items
+    ]
+    if batched != sequential or batched != reference:
         flat = {
             "topology": cfg["topology"],
             "max_cycles": cfg["max_cycles"],
             "k": len(items),
             "diverged_at": [
-                i for i, (b, s) in enumerate(zip(batched, sequential)) if b != s
+                i for i, (b, s, r) in enumerate(zip(batched, sequential, reference))
+                if not b == s == r
             ],
         }
         return _describe(seed, flat, "batch")
@@ -452,7 +462,8 @@ def test_differential_fuzz_workloads():
 def test_differential_fuzz_batches():
     """The batch pass: random-K mixed batches (seeds, loads, patterns,
     routers, fault plans, switching modes) through ``BatchedSimulator``
-    must match K sequential vectorized runs bit for bit."""
+    must match K sequential vectorized runs and K reference runs bit for
+    bit."""
     cases = max(1, CASES // 3)
     _report(
         [

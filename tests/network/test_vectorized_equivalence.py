@@ -13,6 +13,7 @@ virtual-cut-through flow control (finite buffers, multi-flit packets,
 virtual channels).
 """
 
+import numpy as np
 import pytest
 
 from repro.cubes.hypercube import hypercube
@@ -199,6 +200,18 @@ def test_faults_and_route_table_are_mutually_exclusive():
             sim.run(traffic, route_table=table, faults=plan)
 
 
+def test_epoch_whose_every_packet_has_a_dead_endpoint():
+    """Regression: an epoch routing no pair at all (every packet injected
+    after the fault touches the dead node) between two routed epochs."""
+    topo = TOPOLOGIES["fibonacci"]
+    plan = FaultPlan(node_faults=((5, 3),), link_faults=((9, 0, 1),))
+    traffic = [(0, 0, 6), (6, 3, 7), (7, 2, 3), (10, 0, 7)]
+    ref = ReferenceSimulator(topo).run(traffic, faults=plan)
+    vec = VectorizedSimulator(topo).run(traffic, faults=plan)
+    assert ref == vec
+    assert ref.injected == 4 and ref.dropped >= 2
+
+
 def test_empty_fault_plan_is_a_no_op():
     topo = TOPOLOGIES["fibonacci"]
     traffic = make_traffic("uniform", topo, 150, 10, seed=4)
@@ -252,15 +265,32 @@ def test_batched_table_matches_per_pair_routes():
 
 
 def test_generic_build_matches_batched_build():
+    class RouteOnly:
+        """BfsRouter without its batched build: the per-pair path."""
+
+        route = BfsRouter().route
+
     topo = TOPOLOGIES["fibonacci"]
     pairs = [(s, (s + 3) % topo.num_nodes) for s in range(topo.num_nodes)]
-    generic = RouteTable.build(topo, BfsRouter(), pairs)
+    generic = RouteTable.build(topo, RouteOnly(), pairs)
     batched = BfsRouter().build_table(topo, pairs)
     for pair in pairs:
         g, b = generic.pair_row[pair], batched.pair_row[pair]
         assert (g < 0) == (b < 0)
         if g >= 0:
             assert generic.route_nodes(g).tolist() == batched.route_nodes(b).tolist()
+
+
+def test_route_table_build_dispatches_to_batched_build():
+    """RouteTable.build is the one entry point: a router with its own
+    build_table builds the table itself."""
+    topo = TOPOLOGIES["fibonacci"]
+    pairs = [(s, (s * 5) % topo.num_nodes) for s in range(topo.num_nodes)]
+    via_build = RouteTable.build(topo, BfsRouter(), pairs)
+    direct = BfsRouter().build_table(topo, pairs)
+    assert via_build.pair_row == direct.pair_row
+    assert np.array_equal(via_build.route_data, direct.route_data)
+    assert np.array_equal(via_build.route_offsets, direct.route_offsets)
 
 
 def test_default_simulator_is_vectorized():
