@@ -6,6 +6,8 @@ incremental construction and readable algorithms) and a lazily built CSR
 (compressed sparse row) representation as two NumPy arrays, which is what
 the vectorised BFS kernels in :mod:`repro.graphs.traversal` consume --
 contiguity matters, per the cache-effects guidance of the HPC notes.
+A second lazy cache, :meth:`Graph.distance_rows`, memoises
+per-destination distance rows for the routing layer.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ class Graph:
 
     Self-loops and parallel edges are rejected.  Instances are mutable
     while being built (``add_edge``); any structural mutation invalidates
-    the cached CSR arrays, which are rebuilt on demand.
+    the cached CSR arrays and distance rows, which are rebuilt on demand.
     """
 
-    __slots__ = ("_adj", "_labels", "_label_index", "_csr", "_num_edges")
+    __slots__ = ("_adj", "_labels", "_label_index", "_csr", "_rows", "_num_edges")
 
     def __init__(self, num_vertices: int = 0, labels: Optional[Sequence[Hashable]] = None):
         if num_vertices < 0:
@@ -33,6 +35,7 @@ class Graph:
         self._adj: List[List[int]] = [[] for _ in range(num_vertices)]
         self._num_edges = 0
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._rows: Optional[Dict[int, np.ndarray]] = None
         self._labels: Optional[List[Hashable]] = None
         self._label_index: Optional[Dict[Hashable, int]] = None
         if labels is not None:
@@ -56,7 +59,7 @@ class Graph:
     def add_vertex(self) -> int:
         """Append an isolated vertex; return its index."""
         self._adj.append([])
-        self._csr = None
+        self._csr = self._rows = None
         if self._labels is not None:
             raise RuntimeError("cannot add vertices after labels were assigned")
         return len(self._adj) - 1
@@ -73,7 +76,7 @@ class Graph:
         self._adj[u].append(v)
         self._adj[v].append(u)
         self._num_edges += 1
-        self._csr = None
+        self._csr = self._rows = None
 
     def has_edge(self, u: int, v: int) -> bool:
         """Membership test for edge ``{u, v}``."""
@@ -158,6 +161,15 @@ class Graph:
                 indices[indptr[u] : indptr[u + 1]] = nbrs
             self._csr = (indptr, indices)
         return self._csr
+
+    def distance_rows(self) -> Dict[int, np.ndarray]:
+        """Per-destination distance rows, keyed by destination vertex
+        (cached until mutation).  The graph only stores them; the
+        healthy-distance oracle of :mod:`repro.network.routing` fills
+        them lazily."""
+        if self._rows is None:
+            self._rows = {}
+        return self._rows
 
     # -- derived graphs ------------------------------------------------------
 

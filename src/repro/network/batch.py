@@ -45,9 +45,12 @@ item is one epoch on the healthy topology; a faulted item adds one
 fault-masked view per fault cycle), each group gets one route-table
 build over the union of its traffic pairs (routes are deterministic per
 pair, so the union table contains exactly the paths the per-run builds
-would) and one misroute pass, and all groups share one healthy-topology
-BFS-distance cache.  Route tables do not depend on the switching mode,
-so sf and flow-control items mix freely within one shared build.
+would) and one vectorised misroute pass.  Distances and next hops come
+from the healthy-distance oracle memoised on each graph
+(:func:`~repro.network.routing._oracle_rows`), so every group, batch and
+sweep point on the same topology shares one BFS per destination.  Route
+tables do not depend on the switching mode, so sf and flow-control items
+mix freely within one shared build.
 """
 
 from __future__ import annotations
@@ -60,13 +63,8 @@ import numpy as np
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.kernel import KernelRun, _link_arrays, run_fused
-from repro.network.routing import BfsRouter, RouteTable
-from repro.network.simulator import (
-    SimResult,
-    _check_run,
-    _flow_result,
-    _misroute_hops,
-)
+from repro.network.routing import BfsRouter, RouteTable, _oracle_rows
+from repro.network.simulator import SimResult, _check_run, _flow_result
 from repro.network.topology import Topology
 
 __all__ = [
@@ -132,9 +130,11 @@ class _Epoch:
         self.dead = dead
         self.code_parts: List[np.ndarray] = []
 
-    def build(self, topo: Topology, dist_cache: Dict[int, np.ndarray]) -> None:
-        """Build the table and the per-row misroute counts; ``codes`` /
-        ``code_row`` then map each ``src * n + dst`` code to its row."""
+    def build(self, topo: Topology) -> None:
+        """Build the table and the per-row misroute counts (as
+        :func:`~repro.network.simulator._misroute_hops`, vectorised);
+        ``codes`` / ``code_row`` then map each ``src * n + dst`` code to
+        its row."""
         n = topo.num_nodes
         self.codes = np.unique(np.concatenate(self.code_parts))
         pairs = [(int(c) // n, int(c) % n) for c in self.codes]
@@ -144,13 +144,11 @@ class _Epoch:
         self.code_row = np.asarray(
             [table.pair_row.get(p, -1) for p in pairs], dtype=np.int64
         )
-        lengths = table.lengths()
-        self.misroutes = np.zeros(table.num_routes, dtype=np.int64)
-        for (src, dst), r in table.pair_row.items():
-            if r >= 0:
-                self.misroutes[r] = _misroute_hops(
-                    topo, dist_cache, src, dst, int(lengths[r]) - 1
-                )
+        data, offsets = table.route_data, table.route_offsets
+        k, dist, _ = _oracle_rows(topo.graph, data[offsets[1:] - 1])
+        dist = dist[k, data[offsets[:-1]]]
+        excess = (table.lengths() - 1 - dist) // 2
+        self.misroutes = np.where(dist < 0, 0, np.maximum(0, excess))
 
 
 def _merge(epochs: Sequence[_Epoch]) -> Tuple[RouteTable, np.ndarray, List[int]]:
@@ -188,7 +186,7 @@ def _prepare(topo: Topology, router, items: Sequence[BatchItem]) -> List[_Prepar
     one) routes on the healthy topology.  Items group by router
     instance and epoch view; each group gets one table build over the
     union of its pairs (routes are deterministic per pair) and one
-    misroute pass, and all groups share one healthy-distance cache.
+    misroute pass against the healthy graph's distance oracle.
     Each item's table stacks the tables of the epochs it touches.
     Items arrive validated (:func:`~repro.network.simulator._check_run`).
     """
@@ -221,9 +219,8 @@ def _prepare(topo: Topology, router, items: Sequence[BatchItem]) -> List[_Prepar
             epochs[key].code_parts.append(codes[sel])
             parts.append((epochs[key], sel))
         staged.append((arr, perm, codes, plan, parts))
-    dist_cache: Dict[int, np.ndarray] = {}
     for ep in epochs.values():
-        ep.build(topo, dist_cache)
+        ep.build(topo)
     merged: Dict[tuple, tuple] = {}
     out: List[_Prepared] = []
     for arr, perm, codes, plan, parts in staged:

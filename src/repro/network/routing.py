@@ -68,50 +68,52 @@ class BfsRouter:
     def build_table(
         self, topo: Topology, pairs: Iterable[Tuple[int, int]]
     ) -> "RouteTable":
-        """Batched table build: one BFS per *destination* plus a
-        vectorised next-hop extraction, instead of one BFS per pair.
-
-        For every destination the next-hop array ``toward[v]`` is the
-        first neighbour of ``v`` (in adjacency order) that is strictly
-        closer to the destination -- exactly the vertex
-        :meth:`route`'s ``min(..., key=dist)`` picks -- so the batched
-        paths are identical to the per-pair ones.
+        """Batched table build: every path read off the graph's distance
+        oracle (:func:`_oracle_rows`) in lock step, one NumPy gather per
+        hop.  The oracle's next hop is the vertex :meth:`route`'s
+        ``min(..., key=dist)`` picks, so the paths are the per-pair ones;
+        rows (and ``pair_row``) run by destination, first-seen within one.
         """
-        g = topo.graph
-        n = g.num_vertices
-        indptr, indices = g.csr()
-        order = list(dict.fromkeys(pairs))  # dedupe, keep first-seen order
-        data: List[int] = []
-        offsets: List[int] = [0]
-        pair_row: Dict[Tuple[int, int], int] = {}
-        counts = indptr[1:] - indptr[:-1]
-        rows_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        for dst in sorted({d for _, d in order}):
-            dist = bfs_distances(g, dst)
-            # toward[v]: first neighbour with dist == dist[v] - 1
-            closer = dist[indices] == dist[rows_of] - 1
+        order = sorted(dict.fromkeys(pairs), key=lambda p: p[1])  # stable
+        ends = np.asarray(order, dtype=np.int64).reshape(-1, 2)
+        k, dist, toward = _oracle_rows(topo.graph, ends[:, 1])
+        hops = dist[k, ends[:, 0]].astype(np.int64)
+        routed = hops >= 0
+        rows = np.where(routed, np.cumsum(routed) - 1, -1)
+        offsets = np.concatenate(([0], np.cumsum(hops[routed] + 1)))
+        data = np.empty(offsets[-1], dtype=np.int64)
+        at, k, left, cur = offsets[:-1], k[routed], hops[routed], ends[routed, 0]
+        data[at] = cur
+        while at.size:  # one step of every unfinished path per pass
+            go = left > 0
+            at, k, left = at[go] + 1, k[go], left[go] - 1
+            cur = data[at] = toward[k, cur[go]]
+        return RouteTable(data, offsets, dict(zip(order, rows.tolist())))
+
+
+def _oracle_rows(graph, dsts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A graph's healthy-distance oracle for destinations ``dsts``:
+    ``(k, dist, toward)``, where int32 rows ``dist[k[i]]`` and
+    ``toward[k[i]]`` hold every vertex's BFS distance to ``dsts[i]`` and
+    its first neighbour in CSR order one step closer (``-1`` for none).
+    Filled lazily, one BFS per destination, and memoised on the graph
+    (:meth:`~repro.graphs.core.Graph.distance_rows`) until it mutates."""
+    dsts, k = np.unique(dsts, return_inverse=True)
+    memo = graph.distance_rows()
+    n = graph.num_vertices
+    indptr, indices = graph.csr()
+    rows_of = np.repeat(np.arange(n), np.diff(indptr))
+    for dst in dsts.tolist():
+        if dst not in memo:
+            dist = bfs_distances(graph, dst)
+            closer = np.flatnonzero(dist[indices] == dist[rows_of] - 1)
             hit_rows, first_at = np.unique(rows_of[closer], return_index=True)
-            toward = np.full(n, -1, dtype=np.int64)
-            toward[hit_rows] = indices[np.flatnonzero(closer)[first_at]]
-            for src, d in order:
-                if d != dst:
-                    continue
-                if dist[src] < 0:
-                    pair_row[(src, d)] = -1
-                    continue
-                path = [src]
-                cur = src
-                while cur != dst:
-                    cur = int(toward[cur])
-                    path.append(cur)
-                pair_row[(src, d)] = len(offsets) - 1
-                data.extend(path)
-                offsets.append(len(data))
-        return RouteTable(
-            route_data=np.asarray(data, dtype=np.int64),
-            route_offsets=np.asarray(offsets, dtype=np.int64),
-            pair_row=pair_row,
-        )
+            row = np.full((2, n), -1, dtype=np.int32)
+            row[0] = dist
+            row[1, hit_rows] = indices[closer[first_at]]
+            memo[dst] = row  # published whole: other threads may read it now
+    both = np.array([memo[d] for d in dsts.tolist()], dtype=np.int32).reshape(-1, 2, n)
+    return k, both[:, 0], both[:, 1]
 
 
 class CanonicalRouter:
@@ -397,11 +399,10 @@ def route_stats(
     if pairs is None:
         pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     delivered = optimal = total_hops = total_shortest = 0
-    dist_cache: Dict[int, np.ndarray] = {}
-    for s, t in pairs:
-        if s not in dist_cache:
-            dist_cache[s] = bfs_distances(g, s)
-        shortest = int(dist_cache[s][t])
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    k, dist, _ = _oracle_rows(g, ends[:, 1])
+    shortest_of = dist[k, ends[:, 0]].tolist()
+    for (s, t), shortest in zip(pairs, shortest_of):
         path = router.route(topo, s, t)
         if path is None:
             continue

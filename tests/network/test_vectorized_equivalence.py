@@ -264,15 +264,64 @@ def test_batched_table_matches_per_pair_routes():
             assert table.route_nodes(row).tolist() == expected, pair
 
 
+class _RouteOnly:
+    """BfsRouter without its batched build: the per-pair spec."""
+
+    route = BfsRouter().route
+
+
+def _per_pair_spec(topo, pairs):
+    """The table ``build_table`` must reproduce: one ``route`` call per
+    unique pair, rows ordered by destination, first-seen within one."""
+    order = sorted(dict.fromkeys(pairs), key=lambda p: p[1])
+    return RouteTable.build(topo, _RouteOnly(), order)
+
+
+def _assert_same_table(got, want):
+    assert got.route_data.dtype == want.route_data.dtype == np.int64
+    assert got.route_offsets.dtype == want.route_offsets.dtype == np.int64
+    assert got.route_data.tobytes() == want.route_data.tobytes()
+    assert got.route_offsets.tobytes() == want.route_offsets.tobytes()
+    assert list(got.pair_row.items()) == list(want.pair_row.items())
+
+
+@pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
+def test_batched_build_is_the_per_pair_spec_byte_for_byte(topo_name):
+    """Rows, offsets and pair_row (key order included) equal the per-pair
+    spec, with duplicate pairs and unsorted destinations in the input."""
+    topo = TOPOLOGIES[topo_name]
+    n = topo.num_nodes
+    pairs = [(s, (s * 7 + 3) % n) for s in range(n)] + [(s, s) for s in range(0, n, 5)]
+    pairs += pairs[::3]  # duplicates, already seen
+    _assert_same_table(BfsRouter().build_table(topo, pairs), _per_pair_spec(topo, pairs))
+
+
+def test_batched_build_of_no_pairs_is_empty():
+    table = BfsRouter().build_table(TOPOLOGIES["fibonacci"], [])
+    _assert_same_table(table, _per_pair_spec(TOPOLOGIES["fibonacci"], []))
+    assert table.num_routes == 0 and table.pair_row == {}
+
+
+def test_batched_build_drops_dead_endpoints_on_a_fault_view():
+    """On a with_faults view a failed node is isolated: every pair that
+    starts or ends there maps to row -1, exactly as route() fails it."""
+    topo = TOPOLOGIES["fibonacci"]
+    u, v = next(e for e in topo.graph.edges() if 3 not in e)
+    plan = FaultPlan(node_faults=((0, 3),), link_faults=((0, u, v),))
+    plan.validate(topo)
+    view = topo.with_faults(plan)
+    n = topo.num_nodes
+    pairs = [(3, d) for d in range(n)] + [(s, 3) for s in range(n)] + [(u, v), (v, u)]
+    table = BfsRouter().build_table(view, pairs)
+    _assert_same_table(table, _per_pair_spec(view, pairs))
+    assert all(table.pair_row[p] == -1 for p in pairs if 3 in p and p != (3, 3))
+    assert len(table.route_nodes(table.pair_row[(u, v)])) > 2  # around the dead link
+
+
 def test_generic_build_matches_batched_build():
-    class RouteOnly:
-        """BfsRouter without its batched build: the per-pair path."""
-
-        route = BfsRouter().route
-
     topo = TOPOLOGIES["fibonacci"]
     pairs = [(s, (s + 3) % topo.num_nodes) for s in range(topo.num_nodes)]
-    generic = RouteTable.build(topo, RouteOnly(), pairs)
+    generic = RouteTable.build(topo, _RouteOnly(), pairs)
     batched = BfsRouter().build_table(topo, pairs)
     for pair in pairs:
         g, b = generic.pair_row[pair], batched.pair_row[pair]
