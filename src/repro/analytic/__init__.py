@@ -8,9 +8,9 @@ verify harness:
 
 - :mod:`repro.analytic.fsm` -- avoidance FSMs with a full language
   algebra (union / intersection / complement / minimization);
-- :mod:`repro.analytic.enumeration` -- transfer-matrix counting systems
-  with linear-recurrence extraction (``smart_enumeration``) for exact
-  node and edge counts at arbitrary ``d``;
+- :mod:`repro.analytic.enumeration` -- the one ``k``-subcube counting
+  engine (nodes, edges, squares) with linear-recurrence extraction
+  (``smart_enumeration``) for exact counts at large ``d``;
 - :mod:`repro.analytic.bounds` -- direction-cut profiles, an analytic
   bisection-width estimate and the uniform-traffic saturation bound
   (the classical ``2B/N`` channel-load model);

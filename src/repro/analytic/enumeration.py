@@ -1,17 +1,17 @@
-"""Transfer-matrix counting systems with linear-recurrence extraction.
+"""Subcube counting systems with linear-recurrence extraction.
 
-Every regular address language gives its cube family two exact counting
-problems -- vertices (accepted words of length ``d``) and edges
-(accepted pairs differing in one bit) -- and both are path-counting
-problems in a fixed digraph, so both satisfy *integer linear
-recurrences* of order at most the digraph size.  A
+Every regular address language gives its cube family a tower of exact
+counting problems: the ``k``-dimensional subcubes of the
+``d``-dimensional cube -- vertices at ``k = 0``, edges at ``k = 1``,
+squares at ``k = 2``.  :func:`subcube_system` turns each into path
+counting in one fixed digraph, so every count satisfies an *integer
+linear recurrence* of order at most the digraph size.  A
 :class:`CountingSystem` packages the digraph as ``(matrix, start,
-accept)`` and offers three evaluation routes:
+accept)`` and offers two evaluation routes:
 
-- :meth:`CountingSystem.term` -- one huge ``d`` via binary matrix
-  powering, :math:`O(m^3 \\log d)`;
-- :meth:`CountingSystem.series` -- the first ``n`` terms by
-  vector--matrix iteration, :math:`O(n m^2)`;
+- :meth:`CountingSystem.term` / :meth:`CountingSystem.series` -- a
+  forward walk of the weight vector along the non-zero entries,
+  :math:`O(d \\cdot \\mathrm{nnz})` time and :math:`O(m)` live state;
 - :meth:`CountingSystem.smart_enumeration` -- extract the minimal
   recurrence once (Berlekamp--Massey over exact rationals), then extend
   at :math:`O(r)` per term.  For the Fibonacci cube this *discovers*
@@ -24,28 +24,53 @@ integer divisors integer.  :func:`berlekamp_massey` still runs over
 :class:`fractions.Fraction` internally and the integrality is checked,
 not assumed.
 
-The edge digraph is the *pair-marked* construction: phase-0 states
-track one word before the flipped position, a flip jumps to a phase-1
-state pair (bit-0 branch, bit-1 branch), and phase-1 pairs consume the
-shared suffix bits.  Accepted paths of length ``d`` are exactly the
-edges of the ``d``-dimensional cube, so edge counts inherit the whole
-recurrence toolkit.
+The subcube digraph reads one word left to right.  A ``k``-subcube
+``{w + sum_{i in I} e_i}`` with ``|I| = k`` is normalised to ``w_i = 0``
+for every ``i`` in ``I``, so each subcube has one base word ``w`` and is
+counted once.  Phase ``j`` tracks the ``2^j`` corner words that the
+flips seen so far split ``w`` into, as a tuple of FSM states: a shared
+bit steps every corner, and a flip (while ``j < k``) splits each corner
+into its bit-0 and bit-1 continuations.  Accepted length-``d`` paths end
+in phase ``k`` with every corner accepted: exactly the subcubes.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import islice
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.analytic.fsm import FSM
-from repro.words.automaton import matrix_power
 
 __all__ = [
     "CountingSystem",
     "berlekamp_massey",
     "edge_system",
+    "subcube_system",
     "vertex_system",
 ]
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a non-negative ``int`` (anything ``operator.index``
+    accepts, except ``bool``); the error names ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _weights(values: Sequence[int], field: str) -> List[int]:
+    try:
+        return [_index(v, f"{field} entry") for v in values]
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def berlekamp_massey(seq: Sequence[int]) -> List[Fraction]:
@@ -86,12 +111,13 @@ def berlekamp_massey(seq: Sequence[int]) -> List[Fraction]:
 class CountingSystem:
     """Path counting in a weighted digraph: ``start . matrix^d . accept``.
 
-    ``matrix`` is a square non-negative integer matrix, ``start`` a row
-    vector (the initial weight on each state), ``accept`` a 0/1 column
-    vector marking the states whose weight is counted at the end.
+    ``matrix`` is a square matrix of non-negative integer edge weights,
+    ``start`` a row vector of non-negative integer initial weights, and
+    ``accept`` a 0/1 column vector marking the states whose weight is
+    counted at the end.  Only the non-zero matrix entries are kept.
     """
 
-    __slots__ = ("matrix", "start", "accept", "_recurrence", "_prefix")
+    __slots__ = ("rows", "start", "accept", "_recurrence", "_prefix")
 
     def __init__(
         self,
@@ -104,43 +130,50 @@ class CountingSystem:
             raise ValueError("counting matrix must be square")
         if len(start) != n or len(accept) != n:
             raise ValueError("start/accept vectors must match the matrix size")
-        self.matrix = [list(map(int, row)) for row in matrix]
-        self.start = list(map(int, start))
-        self.accept = list(map(int, accept))
+        self.rows: List[List[Tuple[int, int]]] = [
+            [(t, w) for t, w in enumerate(_weights(row, "matrix")) if w]
+            for row in matrix
+        ]
+        self.start = _weights(start, "start")
+        self.accept = _weights(accept, "accept")
+        if any(a > 1 for a in self.accept):
+            raise ValueError(f"accept entries must be 0 or 1, got {list(accept)}")
         self._recurrence: "List[int] | None" = None
         self._prefix: List[int] = []
 
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     # -- direct evaluation ---------------------------------------------------
 
+    def _vectors(self) -> Iterator[List[int]]:
+        """The state-weight vectors after 0, 1, 2, ... steps; only the
+        current one is alive."""
+        rows = self.rows
+        vec = list(self.start)
+        while True:
+            yield vec
+            nxt = [0] * len(vec)
+            for s, v in enumerate(vec):
+                if v:
+                    for t, w in rows[s]:
+                        nxt[t] += v * w
+            vec = nxt
+
+    def _accepted(self, vec: List[int]) -> int:
+        return sum(v for v, a in zip(vec, self.accept) if a)
+
     def term(self, d: int) -> int:
-        """The ``d``-th term by binary matrix powering (huge ``d`` ok)."""
-        if d < 0:
-            raise ValueError(f"index must be non-negative, got {d}")
-        power = matrix_power(self.matrix, d)
-        return sum(
-            self.start[s] * power[s][t] * self.accept[t]
-            for s in range(self.size) for t in range(self.size)
-        )
+        """The ``d``-th term by the forward walk: linear in ``d``, with
+        :math:`O(m)` live state."""
+        d = _index(d, "d")
+        return self._accepted(next(islice(self._vectors(), d, None)))
 
     def series(self, n: int) -> List[int]:
-        """The first ``n`` terms (indices ``0 .. n-1``) by iterating the
-        row vector -- one matrix application per term."""
-        if n < 0:
-            raise ValueError(f"count must be non-negative, got {n}")
-        vec = list(self.start)
-        out: List[int] = []
-        m = self.size
-        for _ in range(n):
-            out.append(sum(vec[t] * self.accept[t] for t in range(m)))
-            vec = [
-                sum(vec[s] * self.matrix[s][t] for s in range(m))
-                for t in range(m)
-            ]
-        return out
+        """The first ``n`` terms (indices ``0 .. n-1``) of the same walk."""
+        n = _index(n, "n")
+        return [self._accepted(vec) for vec in islice(self._vectors(), n)]
 
     # -- smart enumeration ---------------------------------------------------
 
@@ -169,8 +202,7 @@ class CountingSystem:
     def smart_enumeration(self, n: int) -> List[int]:
         """The first ``n`` terms via the extracted recurrence:
         :math:`O(m)` seed work once, then :math:`O(r)` per term."""
-        if n < 0:
-            raise ValueError(f"count must be non-negative, got {n}")
+        n = _index(n, "n")
         rec = self.linear_recurrence()
         out = list(self._prefix[:n])
         if len(out) < n and not rec:
@@ -183,49 +215,73 @@ class CountingSystem:
     def smart_term(self, d: int) -> int:
         """The ``d``-th term, recurrence-extended (linear in ``d``;
         prefer :meth:`term` when ``d`` is astronomically large)."""
-        if d < 0:
-            raise ValueError(f"index must be non-negative, got {d}")
+        d = _index(d, "d")
         return self.smart_enumeration(d + 1)[d]
 
 
+def subcube_system(fsm: FSM, k: int) -> CountingSystem:
+    """Counts of the ``k``-dimensional subcubes of the cube family of
+    ``fsm``'s language: term ``d`` is the number of ``k``-subcubes of the
+    ``d``-dimensional cube (``k = 0`` vertices, ``1`` edges, ``2``
+    squares).
+
+    States are ``(j, corners)``: phase ``j <= k`` and a tuple of ``2^j``
+    FSM states, numbered in BFS discovery order from ``(0, (0,))`` (bit
+    0, bit 1, then the flip).  A tuple with a corner that can no longer
+    reach an accepting state is dropped; a non-accepting corner is not,
+    since complement languages have live non-accepting states.
+    """
+    k = _index(k, "k")
+    table, accepting = fsm.table, fsm.accepting
+    preds: List[List[int]] = [[] for _ in table]
+    for s, row in enumerate(table):
+        for t in row:
+            preds[t].append(s)
+    live = set(accepting)
+    stack = list(live)
+    while stack:
+        for s in preds[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+
+    ids: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    order: List[Tuple[int, Tuple[int, ...]]] = []
+    rows: List[List[int]] = []
+
+    def visit(node: Tuple[int, Tuple[int, ...]], row: List[int]) -> None:
+        if not live.issuperset(node[1]):
+            return
+        if node not in ids:
+            ids[node] = len(order)
+            order.append(node)
+        row.append(ids[node])
+
+    visit((0, (0,)), [])  # the start state, unless nothing is accepted
+    for j, corners in order:
+        row: List[int] = []
+        for bit in (0, 1):
+            visit((j, tuple(table[s][bit] for s in corners)), row)
+        if j < k:
+            visit((j + 1, tuple(t for s in corners for t in table[s])), row)
+        rows.append(row)
+    n = len(order)
+    matrix = [[0] * n for _ in range(n)]
+    for s, row in enumerate(rows):
+        for t in row:
+            matrix[s][t] += 1
+    start = [int(s == 0) for s in range(n)]
+    accept = [int(j == k and accepting.issuperset(corners)) for j, corners in order]
+    return CountingSystem(matrix, start, accept)
+
+
 def vertex_system(fsm: FSM) -> CountingSystem:
-    """Vertex counts of the cube family of ``fsm``'s language:
-    term ``d`` is the number of accepted length-``d`` words."""
-    n = fsm.num_states
-    start = [1 if s == 0 else 0 for s in range(n)]
-    accept = [1 if s in fsm.accepting else 0 for s in range(n)]
-    return CountingSystem(fsm.transfer_matrix(), start, accept)
+    """Vertex counts: term ``d`` is the number of accepted length-``d``
+    words."""
+    return subcube_system(fsm, 0)
 
 
 def edge_system(fsm: FSM) -> CountingSystem:
-    """Edge counts of the cube family of ``fsm``'s language.
-
-    States of the pair-marked digraph: ``m`` phase-0 states (one word,
-    before the flip) then ``m^2`` phase-1 pairs ``(s, t)`` tracking the
-    bit-0 / bit-1 branches after the flip, indexed ``m + s*m + t``.
-    Accepted length-``d`` paths are exactly the edges ``{w, w + e_i}``
-    with ``w_i = 0``, counted once each.
-    """
-    m = fsm.num_states
-    size = m + m * m
-    mat = [[0] * size for _ in range(size)]
-    for s in range(m):
-        t0, t1 = fsm.table[s]
-        # phase 0: consume one un-flipped bit
-        mat[s][t0] += 1
-        mat[s][t1] += 1
-        # or flip here: w takes bit 0, w + e_i takes bit 1
-        mat[s][m + t0 * m + t1] += 1
-    for s in range(m):
-        for t in range(m):
-            row = m + s * m + t
-            for bit in (0, 1):
-                s2 = fsm.table[s][bit]
-                t2 = fsm.table[t][bit]
-                mat[row][m + s2 * m + t2] += 1
-    start = [1 if i == 0 else 0 for i in range(size)]
-    accept = [0] * size
-    for s in fsm.accepting:
-        for t in fsm.accepting:
-            accept[m + s * m + t] = 1
-    return CountingSystem(mat, start, accept)
+    """Edge counts: term ``d`` is the number of edges ``{w, w + e_i}``
+    with both ends accepted."""
+    return subcube_system(fsm, 1)

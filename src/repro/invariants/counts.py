@@ -12,7 +12,7 @@ triangulate:
    for :math:`|S(H_d)|`.
 
 The generic automaton counters of :mod:`repro.words.counting` provide a
-fourth source valid for any factor and huge ``d``.
+fourth source valid for any factor and large ``d``.
 """
 
 from __future__ import annotations

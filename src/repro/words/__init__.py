@@ -9,13 +9,14 @@ This package provides:
 
 - :mod:`repro.words.core` -- primitive operations (complement, reverse,
   blocks, factor tests, bit flips, Hamming distance, int conversions);
-- :mod:`repro.words.automaton` -- the KMP factor automaton used both for
-  linear-time factor avoidance tests and for transfer-matrix counting;
+- :mod:`repro.words.automaton` -- the KMP factor automaton used for
+  linear-time factor avoidance tests;
 - :mod:`repro.words.enumerate` -- enumeration of all factor-avoiding words
   of a given length (the vertex sets of generalized Fibonacci cubes);
 - :mod:`repro.words.counting` -- exact big-integer counting of vertices,
-  edges and squares of :math:`Q_d(f)` for *huge* ``d`` via product
-  automata, without enumerating anything.
+  edges and squares of :math:`Q_d(f)` for large ``d``, without
+  enumerating anything, through the one subcube counting engine of
+  :mod:`repro.analytic.enumeration`.
 """
 
 from repro.words.core import (

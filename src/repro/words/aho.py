@@ -14,7 +14,8 @@ member of ``F``.  Classical instances:
 pattern-accepting states merged into one absorbing *forbidden* state, so
 the surviving automaton plays exactly the same role the KMP automaton
 plays in :mod:`repro.words.automaton`: linear-time avoidance tests, DFS
-enumeration, and transfer-matrix counting.
+enumeration, and exact counting through the subcube systems of
+:mod:`repro.analytic.enumeration`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.words.automaton import matrix_power
 from repro.words.core import validate_word
+from repro.words.counting import _count_subcubes
 
 __all__ = ["MultiFactorAutomaton"]
 
@@ -43,8 +44,8 @@ class MultiFactorAutomaton:
         (superstrings of other factors, e.g. ``110`` next to ``11``) are
         *dropped at construction*: a word containing the superstring
         already contains the substring, so they define the same language
-        but would inflate the trie -- and therefore every transfer-matrix
-        count -- for nothing.  ``factors`` holds the surviving minimal
+        but would inflate the trie -- and therefore every counting system
+        -- for nothing.  ``factors`` holds the surviving minimal
         set.
     """
 
@@ -187,36 +188,13 @@ class MultiFactorAutomaton:
 
     # -- counting ------------------------------------------------------------
 
-    def transfer_matrix(self) -> List[List[int]]:
-        """Transfer matrix over the live states (cf. the KMP twin)."""
-        m = self.forbidden
-        mat = [[0] * m for _ in range(m)]
-        for s in range(m):
-            for bit in (0, 1):
-                t = self.table[s][bit]
-                if t != m:
-                    mat[s][t] += 1
-        return mat
-
     def count_vertices(self, d: int) -> int:
-        """``|V(Q_d(F))|`` by matrix power -- exact for huge ``d``."""
-        if d < 0:
-            raise ValueError(f"length must be non-negative, got {d}")
-        power = matrix_power(self.transfer_matrix(), d)
-        return sum(power[0])
+        """``|V(Q_d(F))|``: number of length-``d`` words avoiding ``F``."""
+        return _count_subcubes(self.factors, d, 0)
 
     def count_edges(self, d: int) -> int:
-        """``|E(Q_d(F))|`` by the streaming pair DP (cf. the KMP twin).
-
-        ``O(states^2)`` memory whatever ``d`` is: the forward sweep
-        carries prefix weights and live word-pair weights instead of
-        materializing a suffix table per position.
-        """
-        if d < 0:
-            raise ValueError(f"length must be non-negative, got {d}")
-        from repro.words.counting import _count_edges_streaming
-
-        return _count_edges_streaming(self.table, self.forbidden, d)
+        """``|E(Q_d(F))|``: edges of the multi-factor cube."""
+        return _count_subcubes(self.factors, d, 1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiFactorAutomaton({list(self.factors)!r}, states={self.num_states})"

@@ -8,9 +8,9 @@ meaning ``f`` occurred as a factor.
 
 For factor-avoidance we make the forbidden state absorbing, so a word ``b``
 avoids ``f`` exactly when running the automaton on ``b`` never reaches
-state ``|f|``.  The transition table of the *non*-forbidden states is the
-transfer matrix whose powers count factor-avoiding words -- see
-:mod:`repro.words.counting`.
+state ``|f|``.  Counting runs on the same language through
+:mod:`repro.analytic` (see :mod:`repro.words.counting`).  The exact
+matrix helpers below serve :mod:`repro.combinat.recurrence`.
 """
 
 from __future__ import annotations
@@ -117,24 +117,7 @@ class FactorAutomaton:
                 return False
         return True
 
-    # -- counting support --------------------------------------------------
-
-    def transfer_matrix(self) -> List[List[int]]:
-        """Transfer matrix ``M`` over the non-forbidden states.
-
-        ``M[s][t]`` is the number of bits (0, 1 or 2) leading from state
-        ``s`` to state ``t`` without hitting the forbidden state.  The
-        number of words of length ``d`` avoiding ``f`` equals
-        ``sum((M^d)[0])``.
-        """
-        m = self.forbidden
-        mat = [[0] * m for _ in range(m)]
-        for s in range(m):
-            for bit in (0, 1):
-                t = self.table[s][bit]
-                if t != m:
-                    mat[s][t] += 1
-        return mat
+    # -- enumeration support -----------------------------------------------
 
     def safe_successors(self, state: int) -> List[Tuple[int, int]]:
         """``(bit, next_state)`` pairs from ``state`` avoiding the forbidden state."""

@@ -1,4 +1,4 @@
-"""Counting systems: series vs matrix powers vs extracted recurrences,
+"""Counting systems: series vs single terms vs extracted recurrences,
 including the d = 200 speed contract of the analytic layer."""
 
 import time
@@ -89,6 +89,21 @@ class TestValidation:
             system.term(-1)
         with pytest.raises(ValueError):
             system.series(-1)
+        # entries: non-negative integers, accept marks 0/1 only
+        with pytest.raises(ValueError, match="matrix"):
+            CountingSystem([[-1]], [1], [1])
+        with pytest.raises(ValueError, match="matrix"):
+            CountingSystem([[1.5]], [1], [1])
+        with pytest.raises(ValueError, match="matrix"):
+            CountingSystem([[True]], [1], [1])
+        with pytest.raises(ValueError, match="start"):
+            CountingSystem([[1]], [-1], [1])
+        with pytest.raises(ValueError, match="start"):
+            CountingSystem([[1]], ["1"], [1])
+        with pytest.raises(ValueError, match="accept"):
+            CountingSystem([[1]], [1], [2])
+        with pytest.raises(ValueError, match="accept"):
+            CountingSystem([[1]], [1], [-1])
 
     def test_trivial_systems(self):
         # 1x1 system: powers of the single entry

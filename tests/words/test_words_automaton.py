@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analytic.enumeration import vertex_system
+from repro.analytic.fsm import FSM
 from repro.words.automaton import (
     FactorAutomaton,
     kmp_failure,
@@ -73,18 +75,15 @@ class TestAutomaton:
 
     def test_transfer_matrix_row_sums(self):
         # every non-forbidden state has exactly 2 outgoing bits, of which
-        # the matrix keeps those not entering the forbidden state
-        auto = FactorAutomaton("111")
-        mat = auto.transfer_matrix()
-        for s, row in enumerate(mat):
-            assert sum(row) in (1, 2)
+        # the vertex system keeps those not entering the forbidden state
+        system = vertex_system(FSM.from_factors(["111"]))
+        for row in system.rows:
+            assert sum(w for _, w in row) in (1, 2)
 
     def test_transfer_matrix_counts_words(self):
-        auto = FactorAutomaton("11")
-        mat = auto.transfer_matrix()
-        power = matrix_power(mat, 5)
+        system = vertex_system(FSM.from_factors(["11"]))
         # F_{7} = 13 words of length 5 avoid 11
-        assert sum(power[0]) == 13
+        assert system.term(5) == 13
 
 
 class TestMatrixHelpers:
@@ -148,7 +147,7 @@ class TestMatrixDegenerateInputs:
 
     def test_single_letter_factor(self):
         # avoiding "0" leaves exactly the all-ones word at every d
-        auto = FactorAutomaton("0")
-        assert auto.transfer_matrix() == [[1]]
+        system = vertex_system(FSM.from_factors(["0"]))
+        assert system.rows == [[(0, 1)]]
         for d in (0, 1, 5, 40):
-            assert sum(matrix_power(auto.transfer_matrix(), d)[0]) == 1
+            assert system.term(d) == 1

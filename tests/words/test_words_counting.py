@@ -1,6 +1,13 @@
 """Unit tests for the automaton vertex/edge/square counters."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
+
+import repro
 
 from repro.combinat.sequences import fibonacci
 from repro.words.counting import (
@@ -34,7 +41,7 @@ class TestVertexCount:
                 assert vals[d] == sum(vals[d - k : d])
 
     def test_huge_d_is_cheap_and_consistent(self):
-        # transfer matrix keeps the recurrence exactly at d = 500
+        # the forward walk keeps the recurrence exactly at d = 500
         v = [count_vertices_automaton("11", d) for d in (498, 499, 500)]
         assert v[2] == v[1] + v[0]
 
@@ -86,8 +93,8 @@ class TestSquareCount:
 
 
 class TestStreamingEdgeCount:
-    """The pair DP streams over positions: O(m^2) live state, so large
-    d is limited by arithmetic on big integers, not by memory."""
+    """The subcube walk streams over positions: O(size) live state, so
+    large d is limited by arithmetic on big integers, not by memory."""
 
     def test_fibonacci_closed_form_at_large_d(self):
         # E(Gamma_d) = (d F_{d+1} + 2 (d+1) F_d) / 5, exact at d = 2000
@@ -98,15 +105,62 @@ class TestStreamingEdgeCount:
     def test_peak_memory_does_not_scale_with_d(self):
         import tracemalloc
 
-        def peak(d):
+        def peak(count, d):
             tracemalloc.start()
-            count_edges_automaton("1100", d)
+            count("1100", d)
             _, high = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return high
 
-        peak(50)  # warm caches outside the measurement
-        small, large = peak(50), peak(800)
-        # 16x the dimension must not cost 16x the memory; allow a
-        # generous factor for the bigger integers in the DP vectors
-        assert large < 6 * small
+        for count in (count_edges_automaton, count_squares_automaton):
+            peak(count, 50)  # warm caches outside the measurement
+            small, large = peak(count, 50), peak(count, 800)
+            # 16x the dimension must not cost 16x the memory; allow a
+            # generous factor for the bigger integers in the DP vectors
+            assert large < 6 * small, count.__name__
+
+
+COUNTERS = [count_vertices_automaton, count_edges_automaton, count_squares_automaton]
+
+
+class TestDimensionCheck:
+    """One engine, one check of ``d``: every counter rejects the same
+    bad dimensions with the same error."""
+
+    @pytest.mark.parametrize("count", COUNTERS)
+    @pytest.mark.parametrize("d", [True, False, 3.0, "3", None])
+    def test_rejects_non_integral_d(self, count, d):
+        with pytest.raises(TypeError, match="^d must be an integer"):
+            count("11", d)
+
+    @pytest.mark.parametrize("count", COUNTERS)
+    def test_rejects_negative_d(self, count):
+        with pytest.raises(ValueError, match="^d must be non-negative"):
+            count("11", -1)
+
+    @pytest.mark.parametrize("count", COUNTERS)
+    def test_accepts_index_ints(self, count):
+        class Five:
+            def __index__(self):
+                return 5
+
+        expected = count("11", 5)
+        assert count("11", np.int64(5)) == expected
+        assert count("11", Five()) == expected
+
+
+@pytest.mark.parametrize("first", ["repro.analytic", "repro.words", "repro.words.counting"])
+def test_import_order_has_no_cycle(first):
+    # repro.analytic builds on repro.words, whose counters call back into
+    # it; any module imported first in a fresh interpreter must work
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        f"import {first}\n"
+        "from repro.words.counting import count_squares_automaton\n"
+        "print(count_squares_automaton('110', 5))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str(naive_count_squares("110", 5))
