@@ -36,12 +36,12 @@ in phase ``k`` with every corner accepted: exactly the subcubes.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.analytic.fsm import FSM
+from repro.words.core import _index
 
 __all__ = [
     "CountingSystem",
@@ -50,20 +50,6 @@ __all__ = [
     "subcube_system",
     "vertex_system",
 ]
-
-
-def _index(value, name: str) -> int:
-    """``value`` as a non-negative ``int`` (anything ``operator.index``
-    accepts, except ``bool``); the error names ``name``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not bool")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 def _weights(values: Sequence[int], field: str) -> List[int]:

@@ -3,7 +3,7 @@
 The address set of every cube family in the paper is a *regular
 language*: the hypercube accepts everything, :math:`Q_d(f)` the words
 avoiding ``f``, :math:`Q_d(F)` the words avoiding a set.  This module
-lifts the KMP / Aho--Corasick machinery of :mod:`repro.words` into a
+lifts the factor automaton of :mod:`repro.words` (Aho--Corasick) into a
 general complete-DFA type closed under union, intersection, complement
 and minimization, so composite address languages ("avoids ``11`` *or*
 avoids ``000``", "avoids ``101`` *and* ``010``") get the same exact

@@ -2,8 +2,11 @@
 
 - :mod:`repro.cubes.hypercube` -- the d-cube :math:`Q_d`, Hamming
   distances, canonical paths (Section 2);
+- :mod:`repro.cubes.multifactor` -- the one cube class: the
+  factor-avoiding cube :math:`Q_d(F)` for a set ``F`` of factors;
 - :mod:`repro.cubes.generalized` -- the generalized Fibonacci cube
-  :math:`Q_d(f)` (the paper's central object);
+  :math:`Q_d(f) = Q_d(\\{f\\})` (the paper's central object), its
+  one-factor subclass;
 - :mod:`repro.cubes.fibonacci` -- the classical Fibonacci cube
   :math:`\\Gamma_d = Q_d(11)`, its Zeckendorf labelling, and the Lucas
   cube (a closely related family used in the extension experiments);

@@ -20,9 +20,9 @@ from typing import List
 
 from repro.combinat.sequences import fibonacci
 from repro.cubes.generalized import GeneralizedFibonacciCube, generalized_fibonacci_cube
+from repro.cubes.hypercube import induced_subgraph
 from repro.graphs.core import Graph
-from repro.words.core import word_to_int
-from repro.words.enumerate import list_avoiding
+from repro.words.enumerate import avoiding_int_array, list_avoiding
 
 __all__ = ["fibonacci_cube", "fibonacci_labels", "zeckendorf_rank", "lucas_cube"]
 
@@ -63,21 +63,8 @@ def lucas_cube(d: int) -> Graph:
     first and last position; adjacency is single-bit difference.  For
     ``d = 0`` this is the one-vertex graph.
     """
-    if d < 0:
-        raise ValueError(f"dimension must be non-negative, got {d}")
-    words = [
-        w
-        for w in list_avoiding("11", d)
-        if not (d >= 1 and w[0] == "1" and w[-1] == "1")
-    ]
-    index = {word_to_int(w): i for i, w in enumerate(words)}
-    g = Graph(len(words))
-    for i, w in enumerate(words):
-        code = word_to_int(w)
-        for k in range(d):
-            partner = code ^ (1 << k)
-            j = index.get(partner)
-            if j is not None and i < j:
-                g.add_edge(i, j)
-    g.set_labels(words)
-    return g
+    codes = avoiding_int_array("11", d)
+    if d:
+        # drop the words with a 1 in both the first and the last position
+        codes = codes[((codes >> (d - 1)) & codes & 1) == 0]
+    return induced_subgraph(codes, d)

@@ -1,33 +1,27 @@
 """The generalized Fibonacci cube :math:`Q_d(f)` -- the paper's central object.
 
 :math:`Q_d(f)` is the subgraph of :math:`Q_d` induced by the binary words
-of length ``d`` that avoid the factor ``f``.  :class:`GeneralizedFibonacciCube`
-wraps the vertex set (as a sorted array of integer codes), the induced
-graph, and cube-specific operations (Hamming distance between vertices,
-neighbourhood in the *host* cube, bitwise-majority median closure).
-
-Construction is vectorised: the vertex set comes from the automaton sweep
-of :func:`repro.words.enumerate.avoiding_int_array`, and for each of the
-``d`` directions the edge set is one XOR + sorted membership query over
-the whole vertex array.
+of length ``d`` that avoid the factor ``f``: the one-factor case
+:math:`Q_d(\\{f\\})` of :class:`repro.cubes.multifactor.MultiFactorCube`,
+which supplies the vertex set (a sorted array of integer codes), the
+induced graph and the vertex lookups.  :class:`GeneralizedFibonacciCube`
+adds ``f`` and cube-specific operations (Hamming distance between
+vertices, neighbourhood in the *host* cube, bitwise-majority median
+closure).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Optional
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from repro.graphs.core import Graph
-from repro.graphs.median import majority_word
-from repro.words.core import int_to_word, validate_word, word_to_int
-from repro.words.enumerate import avoiding_int_array
+from repro.cubes.multifactor import MultiFactorCube
+from repro.words.core import int_to_word
 
 __all__ = ["GeneralizedFibonacciCube", "generalized_fibonacci_cube"]
 
 
-class GeneralizedFibonacciCube:
+class GeneralizedFibonacciCube(MultiFactorCube):
     """The graph :math:`Q_d(f)` with its word structure retained.
 
     Parameters
@@ -35,7 +29,7 @@ class GeneralizedFibonacciCube:
     f:
         Non-empty forbidden factor over ``{0, 1}``.
     d:
-        Word length (cube dimension), ``d >= 0``.
+        Word length (cube dimension), a non-negative integer.
 
     Notes
     -----
@@ -45,94 +39,8 @@ class GeneralizedFibonacciCube:
     """
 
     def __init__(self, f: str, d: int):
-        validate_word(f, name="forbidden factor")
-        if not f:
-            raise ValueError("forbidden factor must be non-empty")
-        if d < 0:
-            raise ValueError(f"dimension must be non-negative, got {d}")
+        super().__init__([f], d)
         self.f = f
-        self.d = d
-        self.codes: np.ndarray = avoiding_int_array(f, d)
-        self._graph: Optional[Graph] = None
-        self._index = {int(c): i for i, c in enumerate(self.codes)}
-
-    # -- vertex set ----------------------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.codes.size)
-
-    def __len__(self) -> int:
-        return self.num_vertices
-
-    def __contains__(self, word) -> bool:
-        """Membership test for a word (``str``) or an integer code."""
-        if isinstance(word, str):
-            if len(word) != self.d:
-                return False
-            code = word_to_int(word)
-        else:
-            code = int(word)
-        return code in self._index
-
-    def words(self) -> List[str]:
-        """All vertex words, lexicographically sorted."""
-        return [int_to_word(int(c), self.d) for c in self.codes]
-
-    def iter_words(self) -> Iterator[str]:
-        for c in self.codes:
-            yield int_to_word(int(c), self.d)
-
-    def index_of_code(self, code: int) -> int:
-        """Vertex index of an integer code (KeyError when absent)."""
-        return self._index[code]
-
-    def index_of_word(self, word: str) -> int:
-        """Vertex index of a word (KeyError when absent)."""
-        if len(word) != self.d:
-            raise KeyError(f"word {word!r} has wrong length for d={self.d}")
-        return self._index[word_to_int(word)]
-
-    def code_of(self, index: int) -> int:
-        return int(self.codes[index])
-
-    def word_of(self, index: int) -> str:
-        return int_to_word(int(self.codes[index]), self.d)
-
-    # -- graph structure -------------------------------------------------------
-
-    def graph(self) -> Graph:
-        """The induced graph (built once, labels are the vertex words)."""
-        if self._graph is None:
-            self._graph = self._build_graph()
-        return self._graph
-
-    def _build_graph(self) -> Graph:
-        codes = self.codes
-        n = int(codes.size)
-        g = Graph(n)
-        if n:
-            for i in range(self.d):
-                bit = np.int64(1) << np.int64(i)
-                partners = codes ^ bit
-                # sorted membership: where would each partner insert?
-                pos = np.minimum(np.searchsorted(codes, partners), n - 1)
-                hit = codes[pos] == partners
-                # add each edge once: from the endpoint with the 0-bit
-                lower = (codes & bit) == 0
-                for u_idx in np.flatnonzero(hit & lower):
-                    g.add_edge(int(u_idx), int(pos[u_idx]))
-        g.set_labels(self.words())
-        return g
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph().num_edges
-
-    def degree_sequence(self) -> List[int]:
-        return sorted(self.graph().degrees())
-
-    # -- cube-specific operations ----------------------------------------------
 
     def hamming(self, i: int, j: int) -> int:
         """Host-cube distance :math:`d_{Q_d}` between vertices ``i`` and ``j``."""
@@ -149,8 +57,15 @@ class GeneralizedFibonacciCube:
 
         By Mulder's theorem this is equivalent (for induced connected
         subgraphs) to being a median graph; Proposition 6.4 proves it holds
-        iff ``len(f) == 2``.  Cubic in the number of vertices with a tiny
-        constant (three ANDs and one OR per triple).
+        iff ``len(f) == 2``.
+        """
+        return self.median_violation() is None
+
+    def median_violation(self) -> Optional[Tuple[str, str, str]]:
+        """A triple of words whose majority is missing, or ``None`` if closed.
+
+        Cubic in the number of vertices with a tiny constant (three ANDs
+        and one OR per triple).
         """
         codes = [int(c) for c in self.codes]
         index = self._index
@@ -164,22 +79,6 @@ class GeneralizedFibonacciCube:
                 for c_pos in range(b_pos + 1, n):
                     c = codes[c_pos]
                     med = ab | (c & ab_or)
-                    if med not in index:
-                        return False
-        return True
-
-    def median_violation(self):
-        """A triple of words whose majority is missing, or ``None`` if closed."""
-        codes = [int(c) for c in self.codes]
-        index = self._index
-        n = len(codes)
-        for a_pos in range(n):
-            a = codes[a_pos]
-            for b_pos in range(a_pos + 1, n):
-                b = codes[b_pos]
-                for c_pos in range(b_pos + 1, n):
-                    c = codes[c_pos]
-                    med = majority_word(a, b, c)
                     if med not in index:
                         return (
                             int_to_word(a, self.d),

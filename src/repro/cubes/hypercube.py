@@ -18,9 +18,15 @@ from typing import List
 import numpy as np
 
 from repro.graphs.core import Graph
-from repro.words.core import flip, hamming, validate_word
+from repro.words.core import _index, flip, hamming, int_to_word, validate_word
 
-__all__ = ["hypercube", "hamming_int", "canonical_path", "canonical_path_ints"]
+__all__ = [
+    "hypercube",
+    "induced_subgraph",
+    "hamming_int",
+    "canonical_path",
+    "canonical_path_ints",
+]
 
 
 def hamming_int(a: int, b: int) -> int:
@@ -28,24 +34,37 @@ def hamming_int(a: int, b: int) -> int:
     return int(a ^ b).bit_count()
 
 
+def induced_subgraph(codes: np.ndarray, d: int) -> Graph:
+    """The subgraph of :math:`Q_d` induced by the sorted ``int64`` vertex
+    ``codes``, labelled by the length-``d`` words.
+
+    For each of the ``d`` directions (bit 0 first) the edge set is one XOR
+    plus a sorted membership query over the whole code array; each edge
+    is added once, from its endpoint with the 0-bit, in code order.
+    """
+    n = int(codes.size)
+    g = Graph(n)
+    if n:
+        for i in range(d):
+            bit = np.int64(1) << np.int64(i)
+            partners = codes ^ bit
+            pos = np.minimum(np.searchsorted(codes, partners), n - 1)
+            hit = codes[pos] == partners
+            lower = (codes & bit) == 0
+            for u_idx in np.flatnonzero(hit & lower):
+                g.add_edge(int(u_idx), int(pos[u_idx]))
+    g.set_labels([int_to_word(int(c), d) for c in codes])
+    return g
+
+
 def hypercube(d: int) -> Graph:
     """Build :math:`Q_d` with vertices labelled by their binary words.
 
-    Vertex ``i`` is the word ``format(i, f"0{d}b")``; adjacency is
-    generated bit-parallel (one vectorised XOR per dimension).
+    Vertex ``i`` is the word ``format(i, f"0{d}b")``: the induced subgraph
+    on all ``2^d`` codes.
     """
-    if d < 0:
-        raise ValueError(f"dimension must be non-negative, got {d}")
-    n = 1 << d
-    g = Graph(n)
-    codes = np.arange(n, dtype=np.int64)
-    for i in range(d):
-        bit = 1 << i
-        lower = codes[(codes & bit) == 0]
-        for u in lower:
-            g.add_edge(int(u), int(u) | bit)
-    g.set_labels([format(i, f"0{d}b") if d else "" for i in range(n)])
-    return g
+    d = _index(d, "d")
+    return induced_subgraph(np.arange(1 << d, dtype=np.int64), d)
 
 
 def canonical_path(b: str, c: str) -> List[str]:

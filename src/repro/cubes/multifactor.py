@@ -1,14 +1,16 @@
-"""Multi-factor generalized Fibonacci cubes :math:`Q_d(F)`.
+"""Factor-avoiding cubes :math:`Q_d(F)`: the one cube class.
 
 The extension invited by the paper's definition: forbid a *set* ``F`` of
 factors instead of a single one.  :math:`Q_d(F)` is the subgraph of
 :math:`Q_d` induced by the words avoiding every member of ``F``.
 
-:class:`MultiFactorCube` is duck-compatible with
-:class:`repro.cubes.generalized.GeneralizedFibonacciCube` (``codes``,
-``d``, ``graph()``, ``word_of``, ...), so the isometry engines, structure
-reports and network machinery run on it unchanged -- which is what the
-extension benchmarks exploit.
+:class:`MultiFactorCube` holds the vertex set (a sorted array of integer
+codes from :meth:`repro.words.aho.MultiFactorAutomaton.avoiding_int_array`)
+and the induced graph (:func:`repro.cubes.hypercube.induced_subgraph`).
+The paper's :math:`Q_d(f)` is :math:`Q_d(\\{f\\})`:
+:class:`repro.cubes.generalized.GeneralizedFibonacciCube` is the
+one-factor subclass, adding ``f`` and its cube-specific operations.  The
+isometry engines, structure reports and network machinery run on either.
 
 Facts worth noting (and tested):
 
@@ -22,31 +24,39 @@ Facts worth noting (and tested):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cubes.hypercube import induced_subgraph
 from repro.graphs.core import Graph
 from repro.words.aho import MultiFactorAutomaton
-from repro.words.core import int_to_word, word_to_int
+from repro.words.core import _index, int_to_word, word_to_int
 
 __all__ = ["MultiFactorCube", "multi_factor_cube"]
 
 
 class MultiFactorCube:
-    """The graph :math:`Q_d(F)` for a set ``F`` of forbidden factors."""
+    """The graph :math:`Q_d(F)` for a set ``F`` of forbidden factors.
+
+    Parameters
+    ----------
+    factors:
+        Non-empty collection of non-empty binary words (not a bare
+        ``str``); see :class:`repro.words.aho.MultiFactorAutomaton`.
+    d:
+        Word length (cube dimension), a non-negative integer.
+    """
 
     def __init__(self, factors: Iterable[str], d: int):
-        if d < 0:
-            raise ValueError(f"dimension must be non-negative, got {d}")
         self.automaton = MultiFactorAutomaton(factors)
         self.factors: Tuple[str, ...] = self.automaton.factors
-        self.d = d
-        self.codes: np.ndarray = self.automaton.avoiding_int_array(d)
+        self.d = _index(d, "d")
+        self.codes: np.ndarray = self.automaton.avoiding_int_array(self.d)
         self._graph: Optional[Graph] = None
         self._index = {int(c): i for i, c in enumerate(self.codes)}
 
-    # -- vertex set (same surface as GeneralizedFibonacciCube) -------------
+    # -- vertex set ------------------------------------------------------------
 
     @property
     def num_vertices(self) -> int:
@@ -56,6 +66,7 @@ class MultiFactorCube:
         return self.num_vertices
 
     def __contains__(self, word) -> bool:
+        """Membership test for a word (``str``) or an integer code."""
         if isinstance(word, str):
             if len(word) != self.d:
                 return False
@@ -65,45 +76,43 @@ class MultiFactorCube:
         return code in self._index
 
     def words(self) -> List[str]:
+        """All vertex words, lexicographically sorted."""
         return [int_to_word(int(c), self.d) for c in self.codes]
 
-    def word_of(self, index: int) -> str:
-        return int_to_word(int(self.codes[index]), self.d)
+    def iter_words(self) -> Iterator[str]:
+        for c in self.codes:
+            yield int_to_word(int(c), self.d)
 
-    def code_of(self, index: int) -> int:
-        return int(self.codes[index])
+    def index_of_code(self, code: int) -> int:
+        """Vertex index of an integer code (KeyError when absent)."""
+        return self._index[code]
 
     def index_of_word(self, word: str) -> int:
+        """Vertex index of a word (KeyError when absent)."""
         if len(word) != self.d:
             raise KeyError(f"word {word!r} has wrong length for d={self.d}")
         return self._index[word_to_int(word)]
 
-    # -- graph ---------------------------------------------------------------
+    def code_of(self, index: int) -> int:
+        return int(self.codes[index])
+
+    def word_of(self, index: int) -> str:
+        return int_to_word(int(self.codes[index]), self.d)
+
+    # -- graph structure -------------------------------------------------------
 
     def graph(self) -> Graph:
+        """The induced graph (built once, labels are the vertex words)."""
         if self._graph is None:
-            self._graph = self._build_graph()
+            self._graph = induced_subgraph(self.codes, self.d)
         return self._graph
-
-    def _build_graph(self) -> Graph:
-        codes = self.codes
-        n = int(codes.size)
-        g = Graph(n)
-        if n:
-            for i in range(self.d):
-                bit = np.int64(1) << np.int64(i)
-                partners = codes ^ bit
-                pos = np.minimum(np.searchsorted(codes, partners), n - 1)
-                hit = codes[pos] == partners
-                lower = (codes & bit) == 0
-                for u_idx in np.flatnonzero(hit & lower):
-                    g.add_edge(int(u_idx), int(pos[u_idx]))
-        g.set_labels(self.words())
-        return g
 
     @property
     def num_edges(self) -> int:
         return self.graph().num_edges
+
+    def degree_sequence(self) -> List[int]:
+        return sorted(self.graph().degrees())
 
     def __repr__(self) -> str:
         return (

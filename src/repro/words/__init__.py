@@ -9,10 +9,13 @@ This package provides:
 
 - :mod:`repro.words.core` -- primitive operations (complement, reverse,
   blocks, factor tests, bit flips, Hamming distance, int conversions);
-- :mod:`repro.words.automaton` -- the KMP factor automaton used for
-  linear-time factor avoidance tests;
-- :mod:`repro.words.enumerate` -- enumeration of all factor-avoiding words
-  of a given length (the vertex sets of generalized Fibonacci cubes);
+- :mod:`repro.words.aho` -- the one factor automaton: Aho--Corasick over a
+  set ``F`` of forbidden factors, with linear-time avoidance tests and
+  enumeration of the avoiding words (the vertex sets of the cubes);
+- :mod:`repro.words.automaton` -- :class:`FactorAutomaton`, its
+  one-factor case (the KMP automaton of ``f``);
+- :mod:`repro.words.enumerate` -- single-factor enumeration entry points
+  (words or sorted integer codes of a given length);
 - :mod:`repro.words.counting` -- exact big-integer counting of vertices,
   edges and squares of :math:`Q_d(f)` for large ``d``, without
   enumerating anything, through the one subcube counting engine of
@@ -35,7 +38,7 @@ from repro.words.core import (
     word_add,
     word_to_int,
 )
-from repro.words.automaton import FactorAutomaton, kmp_failure
+from repro.words.automaton import FactorAutomaton
 from repro.words.aho import MultiFactorAutomaton
 from repro.words.gray import (
     gray_code,
@@ -88,7 +91,6 @@ __all__ = [
     "autocorrelation",
     "correlation_polynomial",
     "count_avoiding_gf",
-    "kmp_failure",
     "avoiding_int_array",
     "count_avoiding_bruteforce",
     "iter_avoiding",

@@ -1,20 +1,23 @@
-"""Aho--Corasick automaton: avoiding a *set* of factors at once.
+"""Aho--Corasick automaton: the one factor automaton of the package.
 
 The paper generalizes the Fibonacci cube by forbidding one factor.  The
 natural next step -- explicitly invited by the definition -- is a set
 ``F`` of forbidden factors: :math:`Q_d(F)` keeps the words avoiding every
 member of ``F``.  Classical instances:
 
-- ``F = {f}`` recovers :math:`Q_d(f)` (the automaton degenerates to KMP);
+- ``F = {f}`` recovers :math:`Q_d(f)`: the trie is the path of ``f`` and
+  the automaton is the classical KMP pattern automaton, state ``s`` being
+  the longest suffix read so far that is a proper prefix of ``f``
+  (:class:`repro.words.automaton.FactorAutomaton` is that special case);
 - Lucas-like cubes arise from positional constraints, and several
   "daisy-cube" style families are intersections of factor conditions.
 
 :class:`MultiFactorAutomaton` is the standard Aho--Corasick construction
 (goto trie + failure links, output propagated through failures) with all
-pattern-accepting states merged into one absorbing *forbidden* state, so
-the surviving automaton plays exactly the same role the KMP automaton
-plays in :mod:`repro.words.automaton`: linear-time avoidance tests, DFS
-enumeration, and exact counting through the subcube systems of
+pattern-accepting states merged into one absorbing *forbidden* state.  It
+serves every factor-avoidance task of the package: linear-time avoidance
+tests, DFS enumeration, the vectorised vertex-code sweep behind every
+cube, and exact counting through the subcube systems of
 :mod:`repro.analytic.enumeration`.
 """
 
@@ -25,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.words.core import validate_word
+from repro.words.core import _index, validate_word
 from repro.words.counting import _count_subcubes
 
 __all__ = ["MultiFactorAutomaton"]
@@ -40,7 +43,8 @@ class MultiFactorAutomaton:
     Parameters
     ----------
     factors:
-        Non-empty collection of non-empty binary words.  Subsumed factors
+        Non-empty collection of non-empty binary words (a bare ``str`` is
+        rejected, not split into letters).  Subsumed factors
         (superstrings of other factors, e.g. ``110`` next to ``11``) are
         *dropped at construction*: a word containing the superstring
         already contains the substring, so they define the same language
@@ -52,13 +56,16 @@ class MultiFactorAutomaton:
     __slots__ = ("factors", "num_states", "forbidden", "table")
 
     def __init__(self, factors: Iterable[str]):
-        factors = sorted(set(factors))
+        if isinstance(factors, str):
+            raise TypeError(f"factors must be a collection of words, not the str {factors!r}")
+        factors = list(factors)
         if not factors:
             raise ValueError("need at least one forbidden factor")
         for f in factors:
             validate_word(f, name="forbidden factor")
             if not f:
                 raise ValueError("forbidden factors must be non-empty")
+        factors = sorted(set(factors))
         # drop subsumed factors: if g is a factor of f, avoiding g already
         # implies avoiding f, so f only bloats the automaton (sorted order
         # means any subsuming factor of f is shorter or equal, but scan
@@ -135,6 +142,14 @@ class MultiFactorAutomaton:
 
     # -- running -------------------------------------------------------------
 
+    def run(self, word: str) -> int:
+        """Run on ``word`` from the start state; return the final state."""
+        s = 0
+        table = self.table
+        for ch in word:
+            s = table[s][ch == "1"]
+        return s
+
     def avoids(self, word: str) -> bool:
         """``True`` iff ``word`` contains none of the forbidden factors."""
         s = 0
@@ -149,9 +164,15 @@ class MultiFactorAutomaton:
     # -- enumeration -----------------------------------------------------------
 
     def iter_avoiding(self, d: int) -> Iterator[str]:
-        """All length-``d`` words avoiding every factor, lexicographically."""
-        if d < 0:
-            raise ValueError(f"length must be non-negative, got {d}")
+        """All length-``d`` words avoiding every factor, lexicographically.
+
+        Depth-first over the surviving prefixes only, so the cost is the
+        size of the surviving prefix tree, never the :math:`2^d` words a
+        naive filter would touch.  ``d == 0`` yields the empty word.
+        """
+        d = _index(d, "d")
+        # explicit stack of (prefix, state, depth); bits pushed in reverse
+        # so '0' is explored before '1'
         chars = "01"
         stack: List[Tuple[str, int, int]] = [("", 0, 0)]
         while stack:
@@ -165,9 +186,16 @@ class MultiFactorAutomaton:
                     stack.append((prefix + chars[bit], nxt, depth + 1))
 
     def avoiding_int_array(self, d: int) -> np.ndarray:
-        """Sorted ``int64`` codes of all avoiding words (cf. the KMP twin)."""
-        if d < 0:
-            raise ValueError(f"length must be non-negative, got {d}")
+        """Sorted ``int64`` codes of all length-``d`` avoiding words.
+
+        The code of a word puts its first letter in the most significant
+        bit (:func:`repro.words.core.word_to_int`), so the array is sorted
+        both numerically and lexicographically.  One vectorised pass per
+        position carries the surviving prefix codes with their automaton
+        states; appending a bit concatenates the two surviving branches,
+        re-sorted by code.
+        """
+        d = _index(d, "d")
         if d > 62:
             raise ValueError(f"int64 codes support d <= 62, got {d}")
         table = np.array(self.table, dtype=np.int64)

@@ -23,6 +23,7 @@ bit-parallel operations; the string layer is the readable reference.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, List, Sequence, Tuple
 
 __all__ = [
@@ -58,6 +59,20 @@ def validate_word(b: str, *, name: str = "word") -> str:
     if not is_binary_word(b):
         raise ValueError(f"{name} must be a string over {{'0','1'}}, got {b!r}")
     return b
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a non-negative ``int`` (anything ``operator.index``
+    accepts, except ``bool``); the error names ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def complement(b: str) -> str:

@@ -55,6 +55,15 @@ def naive_avoiding(f: str, d: int) -> List[str]:
     return [w for w in naive_all_words(d) if f not in w]
 
 
+def naive_factor_state(f: str, w: str) -> int:
+    """The state numbering of the one-factor automaton, from its definition:
+    ``len(f)`` once ``f`` occurs in ``w``, else the length of the longest
+    suffix of ``w`` that is a proper prefix of ``f``."""
+    if f in w:
+        return len(f)
+    return max(k for k in range(len(f)) if w.endswith(f[:k]))
+
+
 def naive_hamming(a: str, b: str) -> int:
     return sum(x != y for x, y in zip(a, b))
 

@@ -6,6 +6,7 @@ import pytest
 from repro.cubes.generalized import GeneralizedFibonacciCube, generalized_fibonacci_cube
 from repro.graphs.nxadapter import to_networkx
 from repro.words.core import hamming
+from repro.words.enumerate import avoiding_int_array, iter_avoiding
 
 from tests.conftest import naive_avoiding, naive_count_edges
 
@@ -57,6 +58,14 @@ class TestVertexSet:
             GeneralizedFibonacciCube("12", 3)
         with pytest.raises(ValueError):
             GeneralizedFibonacciCube("11", -1)
+        # the dimension is checked once, and the error names it
+        for bad in (True, 3.0):
+            with pytest.raises(TypeError, match="^d must be an integer"):
+                GeneralizedFibonacciCube("11", bad)
+            with pytest.raises(TypeError, match="^d must be an integer"):
+                list(iter_avoiding("11", bad))
+            with pytest.raises(TypeError, match="^d must be an integer"):
+                avoiding_int_array("11", bad)
 
 
 class TestGraphStructure:

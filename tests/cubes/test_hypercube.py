@@ -45,6 +45,13 @@ class TestHypercube:
         g = hypercube(4)
         assert all(deg == 4 for deg in g.degrees())
 
+    @pytest.mark.parametrize("d", range(0, 9))
+    def test_adjacency_order(self, d):
+        # routing tie-breaks and the sweep goldens read this order
+        g = hypercube(d)
+        for v in range(2**d):
+            assert list(g.neighbors(v)) == [v ^ (1 << i) for i in range(d)]
+
     def test_negative_dimension(self):
         with pytest.raises(ValueError):
             hypercube(-1)

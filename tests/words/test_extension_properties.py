@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.words.aho import MultiFactorAutomaton
-from repro.words.automaton import FactorAutomaton
 from repro.words.correlation import count_avoiding_gf
 from repro.words.counting import count_vertices_automaton
 from repro.words.gray import gray_rank, gray_unrank, gray_words, is_gray_order
+
+from tests.conftest import naive_factor_state
 
 factors = st.text(alphabet="01", min_size=1, max_size=5)
 factor_sets = st.lists(factors, min_size=1, max_size=3)
@@ -24,7 +25,9 @@ def test_aho_agrees_with_substring_scan(fs, w):
 @given(factors, words)
 @settings(max_examples=100, deadline=None)
 def test_aho_singleton_equals_kmp(f, w):
-    assert MultiFactorAutomaton([f]).avoids(w) == FactorAutomaton(f).avoids(w)
+    auto = MultiFactorAutomaton([f])
+    assert auto.run(w) == naive_factor_state(f, w)
+    assert auto.avoids(w) == (f not in w)
 
 
 @given(factor_sets, st.integers(min_value=0, max_value=10))

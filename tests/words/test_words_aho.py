@@ -3,9 +3,12 @@
 
 import pytest
 
+from repro.analytic.fsm import FSM
+from repro.cubes.multifactor import MultiFactorCube
 from repro.words.aho import MultiFactorAutomaton
+from repro.words.automaton import FactorAutomaton
 
-from tests.conftest import naive_all_words
+from tests.conftest import naive_all_words, naive_factor_state
 
 
 def naive_avoiding_set(factors, d):
@@ -33,13 +36,17 @@ class TestAvoids:
             assert auto.avoids(w) == (not any(f in w for f in factors)), (factors, w)
 
     def test_single_factor_matches_kmp(self):
-        from repro.words.automaton import FactorAutomaton
-
-        for f in ("11", "101", "1100", "11010"):
-            kmp = FactorAutomaton(f)
-            aho = MultiFactorAutomaton([f])
-            for w in naive_all_words(7):
-                assert kmp.avoids(w) == aho.avoids(w), (f, w)
+        # the one-factor automaton has the KMP state numbering: after an
+        # f-avoiding w, the longest suffix of w that is a proper prefix
+        # of f; forbidden from the first occurrence of f on
+        words = [w for d in range(9) for w in naive_all_words(d)]
+        for m in range(1, 7):
+            for f in naive_all_words(m):
+                auto = FactorAutomaton(f)
+                assert auto.table == MultiFactorAutomaton([f]).table
+                assert (auto.num_states, auto.forbidden) == (m + 1, m)
+                for w in words:
+                    assert auto.run(w) == naive_factor_state(f, w), (f, w)
 
     def test_redundant_superstring_harmless(self):
         # 110 is redundant next to 11
@@ -55,6 +62,13 @@ class TestAvoids:
             MultiFactorAutomaton([""])
         with pytest.raises(ValueError):
             MultiFactorAutomaton(["12"])
+        # a bare str is one word, not a set of letters
+        with pytest.raises(TypeError, match="factors"):
+            MultiFactorAutomaton("110")
+        with pytest.raises(TypeError, match="factors"):
+            FSM.from_factors("11")
+        with pytest.raises(TypeError, match="factors"):
+            MultiFactorCube("11", 3)
 
 
 class TestEnumeration:

@@ -1,4 +1,4 @@
-"""Unit tests for the KMP factor automaton."""
+"""Unit tests for the single-factor automaton and the matrix helpers."""
 
 import pytest
 
@@ -6,29 +6,11 @@ from repro.analytic.enumeration import vertex_system
 from repro.analytic.fsm import FSM
 from repro.words.automaton import (
     FactorAutomaton,
-    kmp_failure,
     matrix_mult,
     matrix_power,
 )
 
 from tests.conftest import naive_all_words
-
-
-class TestFailureFunction:
-    def test_no_borders(self):
-        assert kmp_failure("10") == [0, 0]
-
-    def test_classic(self):
-        assert kmp_failure("1011") == [0, 0, 1, 1]
-
-    def test_periodic(self):
-        assert kmp_failure("1010") == [0, 0, 1, 2]
-
-    def test_all_same(self):
-        assert kmp_failure("1111") == [0, 1, 2, 3]
-
-    def test_single(self):
-        assert kmp_failure("0") == [0]
 
 
 class TestAutomaton:
@@ -49,11 +31,6 @@ class TestAutomaton:
         # "11" matches 2 characters of the pattern
         assert auto.run("11") == 2
 
-    def test_step_rejects_bad_bit(self):
-        auto = FactorAutomaton("11")
-        with pytest.raises(ValueError):
-            auto.step(0, "2")
-
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
             FactorAutomaton("")
@@ -64,14 +41,6 @@ class TestAutomaton:
 
     def test_num_states(self):
         assert FactorAutomaton("1101").num_states == 5
-
-    def test_safe_successors_avoid_forbidden(self):
-        auto = FactorAutomaton("11")
-        # from state 1 (just read a 1), reading 1 would be forbidden
-        succ = auto.safe_successors(1)
-        assert ("0", 0) not in succ  # bits are ints
-        bits = [bit for bit, _ in succ]
-        assert bits == [0]
 
     def test_transfer_matrix_row_sums(self):
         # every non-forbidden state has exactly 2 outgoing bits, of which
